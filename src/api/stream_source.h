@@ -19,7 +19,7 @@
 #include <memory>
 #include <string>
 
-#include "serve/flow_source.h"
+#include "core/online/round_engine.h"
 
 namespace flowsched {
 

@@ -3,7 +3,7 @@
 ///
 /// One context owns the backlog, the PendingFlow view handed to policies,
 /// the arrival staging buffer, the per-flow assignment table, and the
-/// per-port load scratch used by opt-in selection validation. Simulate()
+/// per-port load scratch used by opt-in selection validation. RoundEngine
 /// creates one internally by default; drivers running many simulations
 /// back-to-back (benchmarks, sweeps, fabric pods) pass the same context to
 /// every run so steady-state rounds perform no heap allocation at all —
@@ -23,8 +23,8 @@ namespace flowsched {
 /// Owns every per-round buffer of one simulation; reusable across runs.
 class SimulationContext {
  public:
-  /// Empties every buffer while keeping its capacity (called by Simulate()
-  /// on entry, so a context can be handed from run to run as-is).
+  /// Empties every buffer while keeping its capacity (called by the round
+  /// engine on entry, so a context can be handed from run to run as-is).
   void Clear() {
     backlog.clear();
     arrivals.clear();
@@ -38,7 +38,7 @@ class SimulationContext {
     used.clear();
   }
 
-  // Round-loop state (managed by Simulate()).
+  // Round-loop state (managed by RoundEngine).
   std::vector<Flow> backlog;          ///< Released, unscheduled flows.
   std::vector<Flow> arrivals;         ///< Staging for ArrivalsInto.
   std::vector<PendingFlow> pending;   ///< Backlog view handed to the policy.
@@ -49,7 +49,7 @@ class SimulationContext {
   std::vector<Round> assigned_round;  ///< Indexed by realized flow id.
   std::vector<char> remove;           ///< Backlog compaction flags.
 
-  // Scratch for ValidateSelection (SimulationOptions::validate).
+  // Scratch for selection validation (SimulationOptions::validate).
   std::vector<Capacity> in_load;
   std::vector<Capacity> out_load;
   std::vector<char> used;

@@ -1,10 +1,7 @@
-// The round-based online flow simulator (paper §5.2.1).
-//
-// Maintains the backlog bipartite graph G_t: released-but-unscheduled flows.
-// Each round, arrivals join the backlog, the policy extracts a
-// capacity-feasible subset (validated when options.validate is set), and
-// those flows complete within the round. Per-port queues are open — the
-// policy may pick any backlog flow, not just the oldest.
+// The round-based online flow simulator (paper §5.2.1), batch front-end of
+// the round engine (core/online/round_engine.h): it records the round each
+// flow completes in and returns the realized instance (the flows that
+// arrived, ids in arrival order), its schedule and metrics.
 //
 // The round loop is allocation-free at steady state: every per-round buffer
 // lives in a SimulationContext that is reused across rounds (and, when the
@@ -75,16 +72,6 @@ SimulationResult Simulate(const SwitchSpec& sw, ArrivalProcess& arrivals,
                           SchedulingPolicy& policy,
                           const SimulationOptions& options = {},
                           SimulationContext* context = nullptr);
-
-// Audits one policy selection: in-range indices, no duplicates, no port
-// overloads (aborts via FS_CHECK on violation; three O(backlog + ports)
-// scans). Shared by the batch loop above and the streaming simulator
-// (src/serve/); uses ctx's scratch vectors, so it allocates nothing at
-// steady state.
-void ValidatePolicySelection(const SwitchSpec& sw,
-                             std::span<const PendingFlow> pending,
-                             std::span<const int> picked,
-                             SimulationContext& ctx);
 
 }  // namespace flowsched
 

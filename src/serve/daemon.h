@@ -18,8 +18,8 @@
 #include <string>
 
 #include "core/online/policy.h"
+#include "core/online/round_engine.h"
 #include "scenario/scenario.h"
-#include "serve/flow_source.h"
 #include "serve/streaming_simulator.h"
 
 namespace flowsched {

@@ -29,9 +29,9 @@ void RoundGeneratorSource::ArrivalsInto(Round t, std::vector<Flow>* out) {
 }
 
 bool RoundGeneratorSource::Exhausted(Round /*t*/) {
-  // Mirrors batch ReplayArrivals::Exhausted ("every flow emitted"): draw
-  // forward past any empty tail so a stream whose last arrivals are long
-  // gone reports done at the same round the batch loop breaks.
+  // "Every flow emitted", as InstanceStreamSource answers it: draw past any
+  // empty tail so the stream reports done at the same round a replay of
+  // the materialized instance would.
   DrawUntilNonEmpty();
   return buffer_.empty();
 }
@@ -79,28 +79,6 @@ TrafficStreamSource::TrafficStreamSource(const TrafficConfig& config,
 
 void TrafficStreamSource::DrawRound(Round t, std::vector<Flow>* out) {
   AppendTrafficRound(config_, t, rng_, &next_coflow_, out);
-}
-
-InstanceStreamSource::InstanceStreamSource(const Instance& instance)
-    : instance_(&instance) {
-  order_.reserve(instance.num_flows());
-  for (const Flow& e : instance.flows()) order_.push_back(e.id);
-  std::stable_sort(order_.begin(), order_.end(), [&](FlowId a, FlowId b) {
-    return instance.flow(a).release < instance.flow(b).release;
-  });
-  releases_.reserve(order_.size());
-  for (FlowId id : order_) releases_.push_back(instance.flow(id).release);
-}
-
-void InstanceStreamSource::ArrivalsInto(Round t, std::vector<Flow>* out) {
-  while (next_ < order_.size() && releases_[next_] <= t) {
-    out->push_back(instance_->flow(order_[next_]));
-    ++next_;
-  }
-}
-
-Round InstanceStreamSource::NextArrivalRound(Round t) {
-  return next_ < order_.size() ? std::max(t, releases_[next_]) : t;
 }
 
 TraceStreamSource::TraceStreamSource(std::istream& in) : reader_(in) {

@@ -1,8 +1,7 @@
-// Concrete StreamingFlowSource adapters:
+// Concrete StreamingFlowSource adapters for unmaterialized streams (the
+// instance replayer, InstanceStreamSource, lives with the round engine in
+// core/online/round_engine.h):
 //
-//   InstanceStreamSource   replays a materialized Instance (tests, smoke
-//                          checks) — the streaming twin of the simulator's
-//                          internal ReplayArrivals.
 //   PoissonStreamSource    draws workload/poisson.h rounds on demand; with
 //                          a negative horizon the stream never ends.
 //   CoflowStreamSource     likewise for workload/coflow_gen.h.
@@ -22,8 +21,8 @@
 #include <istream>
 #include <vector>
 
+#include "core/online/round_engine.h"
 #include "model/trace_io.h"
-#include "serve/flow_source.h"
 #include "traffic/traffic_gen.h"
 #include "util/rng.h"
 #include "workload/coflow_gen.h"
@@ -100,24 +99,6 @@ class TrafficStreamSource : public RoundGeneratorSource {
   TrafficConfig config_;
   Rng rng_;
   CoflowId next_coflow_ = 0;
-};
-
-// Replays `instance` (borrowed; must outlive the source) in release order,
-// stable by flow id — exactly the order batch simulation admits them.
-class InstanceStreamSource : public StreamingFlowSource {
- public:
-  explicit InstanceStreamSource(const Instance& instance);
-
-  const SwitchSpec& sw() const override { return instance_->sw(); }
-  void ArrivalsInto(Round t, std::vector<Flow>* out) override;
-  bool Exhausted(Round /*t*/) override { return next_ >= order_.size(); }
-  Round NextArrivalRound(Round t) override;
-
- private:
-  const Instance* instance_;
-  std::vector<FlowId> order_;    // Flow ids sorted by (release, id).
-  std::vector<Round> releases_;  // Aligned with order_, non-decreasing.
-  std::size_t next_ = 0;
 };
 
 // Streams instance-CSV rows from `in` (borrowed; must outlive the source)

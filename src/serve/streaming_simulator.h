@@ -1,20 +1,15 @@
-// StreamingSimulator: the round loop of core/online/simulator.cc rebuilt
-// for unbounded streams.
-//
-// Differences from batch Simulate():
-//   * arrivals are pulled from a StreamingFlowSource (or injected by the
-//     wire protocol) instead of replayed from a materialized Instance;
-//   * completed flows retire immediately — their response is folded into
-//     StreamingMetrics and their per-flow state (backlog slot, coflow
-//     group slot via SchedulingPolicy::RetireFlows) is released, so
-//     resident memory is O(live flows), not O(all flows);
-//   * hitting the round cap truncates the run (summary.truncated) instead
-//     of aborting — a daemon must not FS_CHECK-die on a long stream.
-//
-// Everything else mirrors the batch loop exactly — arrival admission
-// order, id assignment, idle-gap fast-forward, termination round — so on
-// a finite input the realized schedule and the exact aggregates (flows,
-// rounds, total/max response, peak backlog, utilization, total CCT) are
+// StreamingSimulator: the streaming front-end of the round engine
+// (core/online/round_engine.h), for unbounded streams. It runs the same
+// rounds as batch Simulate() with a different sink and termination rule:
+//   * arrivals are pulled from a StreamingFlowSource (Run) or injected by
+//     the wire protocol (Inject + Step);
+//   * completed flows retire at once — response folded into
+//     StreamingMetrics, MATCH line written, backlog and coflow group slots
+//     released (SchedulingPolicy::RetireFlows) — so resident memory is
+//     O(live flows), not O(all flows);
+//   * hitting the round cap truncates (summary.truncated) instead of
+//     aborting — a daemon must not FS_CHECK-die on a long stream.
+// On a finite input the realized schedule and the exact aggregates are
 // bit-identical to batch Simulate() (locked by tests/serve/).
 //
 // Coflow streaming caveat: a group is retired the moment its last live
@@ -28,15 +23,14 @@
 
 #include <csignal>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "core/online/simulation_context.h"
-#include "core/online/simulator.h"
+#include "core/online/round_engine.h"
 #include "scenario/scenario.h"
-#include "serve/flow_source.h"
 #include "serve/streaming_metrics.h"
 
 namespace flowsched {
@@ -50,8 +44,8 @@ struct StreamingOptions {
   std::ostream* stats_out = nullptr;
   // When set, every round with selections emits "MATCH <t> <id>..." here.
   std::ostream* match_out = nullptr;
-  // Fault-injection overlay, mirroring SimulationOptions::scenario: the
-  // same script replays the identical realized schedule on both paths.
+  // Fault-injection overlay, as SimulationOptions::scenario: the same
+  // script replays the identical realized schedule on both paths.
   const ScenarioScript* scenario = nullptr;
   // Cooperative shutdown: when set and *stop turns non-zero, Run() finishes
   // the round in flight, truncates, and returns — so a signal still ends
@@ -62,7 +56,7 @@ struct StreamingOptions {
 struct StreamingSummary {
   long long flows = 0;      // Completed flows.
   long long arrived = 0;    // Admitted flows (== flows unless truncated).
-  Round rounds = 0;         // Mirrors batch SimulationResult::rounds.
+  Round rounds = 0;         // As batch SimulationResult::rounds.
   double total_response = 0.0;  // Exact (integer-valued summands).
   double mean_response = 0.0;
   double max_response = 0.0;
@@ -89,7 +83,7 @@ struct StreamingSummary {
   std::string ToJson() const;
 };
 
-class StreamingSimulator {
+class StreamingSimulator : private RoundFrontEnd {
  public:
   StreamingSimulator(const SwitchSpec& sw, SchedulingPolicy& policy,
                      const StreamingOptions& options = {});
@@ -104,7 +98,7 @@ class StreamingSimulator {
   Round round() const { return round_; }
   bool Inject(const Flow& flow, std::string* error);
   void Step();
-  std::size_t backlog_size() const { return ctx_.backlog.size(); }
+  std::size_t backlog_size() const { return engine_.backlog().size(); }
 
   // Wire FAULT/RECOVER: immediately downs/restores host `h` on both port
   // sides. False with *error on an out-of-range host; never aborts. Flows
@@ -118,9 +112,14 @@ class StreamingSimulator {
   StreamingSummary Summarize() const;
 
  private:
-  void Admit(Flow f);       // Appends to backlog + group tracking.
-  void RunRound();          // Policy -> validate -> emit -> retire.
-  void EmitPeriodicStats();
+  // RoundFrontEnd: the retire sink and the pull-mode admission/stop rules.
+  bool StopRequested() const override;
+  bool AdmitArrivals(Round t, std::span<const Flow> arrivals) override;
+  void Complete(Round t, std::span<const Flow> backlog,
+                std::span<const int> slots) override;
+  void EndRound(Round t) override;
+
+  void TrackGroup(const Flow& f);  // Coflow group bookkeeping on admit.
 
   struct GroupState {
     long long live = 0;
@@ -130,21 +129,14 @@ class StreamingSimulator {
   const SwitchSpec& sw_;
   SchedulingPolicy& policy_;
   StreamingOptions options_;
-  SimulationContext ctx_;
+  // Its scenario is always bound (to an empty script when
+  // options.scenario is null), so wire FAULT/RECOVER works in any session.
+  RoundEngine engine_;
   StreamingMetrics metrics_;
-  // Always bound (to an empty script when options.scenario is null), so
-  // wire FAULT/RECOVER works in any session.
-  ScenarioRuntime scenario_;
-  long long downtime_rounds_ = 0;
-  bool round_blocked_ = false;  // Last RunRound saw a fully-blocked backlog.
   Round round_ = 0;
   FlowId next_id_ = 0;  // Pull-mode ids, dense in arrival order.
-  long long arrived_ = 0;
   long long completed_ = 0;
   long long coflows_completed_ = 0;
-  double arrived_demand_ = 0.0;
-  int peak_backlog_ = 0;
-  bool truncated_ = false;
   bool source_error_ = false;
   std::string error_;
   std::unordered_map<CoflowId, GroupState> groups_;  // Live tagged groups.

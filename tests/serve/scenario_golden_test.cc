@@ -35,10 +35,19 @@ constexpr char kScript[] =
     "SET_CAPACITY 16 2 1\n"
     "PORT_UP 24 1\n";
 
-ScenarioScript MustParseScript() {
+// Re-home half of host 1's arrivals onto host 3 from round 6 on: the
+// migration coins are drawn in admission order, so both paths must agree
+// on every re-homed flow.
+constexpr char kMigrateScript[] = "MIGRATE 6 1 3 0.5\n";
+
+// Host 1 goes down for good: once the stream ends, the flows queued on it
+// can never drain, and both paths must truncate at the same round.
+constexpr char kStrandScript[] = "PORT_DOWN 10 1\n";
+
+ScenarioScript MustParseScript(const char* text = kScript) {
   ScenarioScript script;
   std::string error;
-  EXPECT_TRUE(ScenarioScript::ParseText(kScript, &script, &error)) << error;
+  EXPECT_TRUE(ScenarioScript::ParseText(text, &script, &error)) << error;
   return script;
 }
 
@@ -110,17 +119,19 @@ TEST(ScenarioGoldenTest, SebfScheduleUnderOutageIsPinned) {
 
 // Streaming and batch must realize bit-identical schedules under the same
 // script — the scenario overlay cannot break the serve determinism contract.
-void CheckStreamingMatchesBatchUnderScenario(const std::string& spec,
-                                             const std::string& policy) {
-  SCOPED_TRACE(spec + " / " + policy);
+// A script that strands flows must truncate both paths at the same round
+// with the same error. Returns the batch result for script-specific checks.
+SimulationResult CheckStreamingMatchesBatchUnderScenario(
+    const std::string& spec, const std::string& policy, const char* text) {
+  SCOPED_TRACE(spec + " / " + policy + " / " + text);
   const Instance instance = MustLoad(spec);
-  const ScenarioScript script = MustParseScript();
+  const ScenarioScript script = MustParseScript(text);
   const SimulationResult batch = RunBatch(instance, policy, script);
-  ASSERT_FALSE(batch.truncated) << batch.error;
 
   std::string error;
   const auto p = MakeServePolicy(policy, &error);
-  ASSERT_NE(p, nullptr) << error;
+  EXPECT_NE(p, nullptr) << error;
+  if (p == nullptr) return batch;
   std::ostringstream match;
   StreamingOptions options;
   options.match_out = &match;
@@ -129,24 +140,68 @@ void CheckStreamingMatchesBatchUnderScenario(const std::string& spec,
   StreamingSimulator sim(source.sw(), *p, options);
   const StreamingSummary summary = sim.Run(source);
 
-  EXPECT_FALSE(summary.truncated) << summary.error;
-  EXPECT_EQ(summary.flows, instance.num_flows());
+  EXPECT_FALSE(summary.source_error) << summary.error;
+  EXPECT_EQ(summary.truncated, batch.truncated);
+  EXPECT_EQ(summary.error, batch.error);
+  EXPECT_EQ(summary.arrived, batch.realized.num_flows());
   EXPECT_EQ(summary.rounds, batch.rounds);
   EXPECT_EQ(summary.peak_backlog, batch.peak_backlog);
-  EXPECT_EQ(summary.total_response, batch.metrics.total_response);
   EXPECT_EQ(summary.downtime_rounds,
             static_cast<long long>(batch.downtime_rounds));
+  EXPECT_EQ(summary.migrated_flows, batch.migrated_flows);
+  if (batch.truncated) return batch;  // No batch schedule to compare.
+  EXPECT_EQ(summary.flows, instance.num_flows());
+  EXPECT_EQ(summary.total_response, batch.metrics.total_response);
   const Schedule streamed =
       ScheduleFromMatchLines(match.str(), instance.num_flows());
   EXPECT_EQ(ScheduleBytes(streamed), ScheduleBytes(batch.schedule));
+  return batch;
 }
 
 TEST(ScenarioGoldenTest, StreamingMatchesBatchUnderScenarioSrpt) {
-  CheckStreamingMatchesBatchUnderScenario(kFlowSpec, "online.srpt");
+  const SimulationResult batch =
+      CheckStreamingMatchesBatchUnderScenario(kFlowSpec, "online.srpt",
+                                              kScript);
+  EXPECT_FALSE(batch.truncated) << batch.error;
 }
 
 TEST(ScenarioGoldenTest, StreamingMatchesBatchUnderScenarioSebf) {
-  CheckStreamingMatchesBatchUnderScenario(kCoflowSpec, "coflow.sebf");
+  const SimulationResult batch =
+      CheckStreamingMatchesBatchUnderScenario(kCoflowSpec, "coflow.sebf",
+                                              kScript);
+  EXPECT_FALSE(batch.truncated) << batch.error;
+}
+
+TEST(ScenarioGoldenTest, StreamingMatchesBatchUnderMigrationSrpt) {
+  const SimulationResult batch = CheckStreamingMatchesBatchUnderScenario(
+      kFlowSpec, "online.srpt", kMigrateScript);
+  EXPECT_FALSE(batch.truncated) << batch.error;
+  EXPECT_GT(batch.migrated_flows, 0);
+}
+
+TEST(ScenarioGoldenTest, StreamingMatchesBatchUnderMigrationSebf) {
+  const SimulationResult batch = CheckStreamingMatchesBatchUnderScenario(
+      kCoflowSpec, "coflow.sebf", kMigrateScript);
+  EXPECT_FALSE(batch.truncated) << batch.error;
+  EXPECT_GT(batch.migrated_flows, 0);
+}
+
+TEST(ScenarioGoldenTest, StreamingMatchesBatchWhenStrandedSrpt) {
+  const SimulationResult batch = CheckStreamingMatchesBatchUnderScenario(
+      kFlowSpec, "online.srpt", kStrandScript);
+  EXPECT_TRUE(batch.truncated);
+  EXPECT_NE(batch.error.find("on dead ports with no recovery event"),
+            std::string::npos)
+      << batch.error;
+}
+
+TEST(ScenarioGoldenTest, StreamingMatchesBatchWhenStrandedSebf) {
+  const SimulationResult batch = CheckStreamingMatchesBatchUnderScenario(
+      kCoflowSpec, "coflow.sebf", kStrandScript);
+  EXPECT_TRUE(batch.truncated);
+  EXPECT_NE(batch.error.find("on dead ports with no recovery event"),
+            std::string::npos)
+      << batch.error;
 }
 
 // Delegating source that raises the shared stop flag once arrivals for

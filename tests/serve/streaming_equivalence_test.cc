@@ -2,8 +2,8 @@
 // streaming simulator must realize the byte-identical schedule and the
 // exact same aggregates as batch Simulate() — for flow-level and
 // coflow-aware policies, through both the in-memory replay source and the
-// line-at-a-time trace source. These are the golden tests ISSUE'd to lock
-// the streaming rewrite to the batch loop.
+// line-at-a-time trace source. Both paths run the same round engine; these
+// goldens lock its two front-ends (and the sources feeding them) together.
 #include <gtest/gtest.h>
 
 #include <map>

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "serve/daemon.h"
+#include "util/json.h"
 
 namespace flowsched {
 namespace {
@@ -182,6 +183,23 @@ TEST(WireSessionTest, EofActsAsStop) {
   const auto lines = SessionLines("ARRIVE 0 0 1 1\nTICK\n");  // No STOP.
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[1].rfind("DONE ", 0), 0u);
+}
+
+TEST(StreamingSummaryTest, ToJsonEscapesControlCharactersInError) {
+  // A trace row's coflow tag reaches the DONE line's error verbatim; a raw
+  // tab there made the line invalid JSON.
+  StreamingSummary summary;
+  summary.source_error = true;
+  summary.error = "line 7: unparsable coflow tag: x\ty \"q\" \\ \x01\n";
+  const std::string json = summary.ToJson();
+  for (char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+  }
+  JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(ParseJson(json, parsed, &error)) << error << ": " << json;
+  EXPECT_EQ(parsed.GetString("error"), summary.error);
+  EXPECT_TRUE(parsed.GetBool("source_error"));
 }
 
 }  // namespace
