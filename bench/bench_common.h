@@ -4,8 +4,9 @@
 // The paper's experiments (§5.2) run a 150x150 unit-capacity switch with
 // M ∈ {50,100,150,300,600} Poisson arrivals per round, i.e. per-port load
 // ratios {1/3, 2/3, 1, 2, 4}. The LP-compared sweeps here reproduce those
-// *load ratios* on a scaled switch (see DESIGN.md §5.2), while the
-// heuristic-only sweeps also run the paper's full scale.
+// *load ratios* on a scaled switch (the offline LP solvers do not finish
+// at 150 ports), while the heuristic-only sweeps also run the paper's full
+// scale.
 #ifndef FLOWSCHED_BENCH_BENCH_COMMON_H_
 #define FLOWSCHED_BENCH_BENCH_COMMON_H_
 

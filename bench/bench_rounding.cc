@@ -1,4 +1,4 @@
-// Group-rounding audit (DESIGN.md E9): distribution of capacity violations
+// Group-rounding audit: distribution of capacity violations
 // across workload families, against the paper's 2*dmax - 1 bound. Our
 // substituted rounder only proves < 4*dmax in the worst case, so this bench
 // is the evidence that the paper's constant holds in practice.

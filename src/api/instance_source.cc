@@ -1,6 +1,8 @@
 #include "api/instance_source.h"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "api/spec_parser.h"
@@ -25,39 +27,77 @@ bool Fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-// Reads (and thereby key-checks) one generator spec; materializes the
-// instance only when `generate` is set, so spec validation is free of
-// generation cost. Both paths share every key read — the accepted-key set
-// cannot drift between validation and loading.
+constexpr long long kMaxInt = std::numeric_limits<int>::max();
+constexpr const char* kIntRange = "in [1, 2^31 - 1]";
+
+// The keys the poisson and coflow generators share, value-checked: each
+// out-of-range value is an error that names its key.
+struct ArrivalKeys {
+  long long ports = 0;
+  Capacity cap = 0;
+  double load = 0.0;
+  long long rounds = 0;
+  Capacity dmax = 0;
+};
+
+ArrivalKeys ReadArrivalKeys(SpecReader& r) {
+  ArrivalKeys keys;
+  keys.ports = r.GetInt("ports", 16);
+  r.Check(keys.ports >= 1 && keys.ports <= kMaxInt, "ports", kIntRange);
+  keys.cap = r.GetInt("cap", 1);
+  r.Check(keys.cap >= 1, "cap", ">= 1");
+  keys.load = r.Get("load", 1.0);
+  r.Check(std::isfinite(keys.load) && keys.load >= 0.0, "load",
+          "finite and >= 0");
+  keys.rounds = r.GetInt("rounds", 10);
+  r.Check(keys.rounds >= 1 && keys.rounds <= kMaxInt, "rounds", kIntRange);
+  keys.dmax = r.GetInt("dmax", 1);
+  r.Check(keys.dmax >= 1, "dmax", ">= 1");
+  return keys;
+}
+
+// Reads (and thereby key-checks, and for poisson/coflow value-checks) one
+// generator spec; materializes the instance only when `generate` is set,
+// so spec validation is free of generation cost. Both paths share every
+// key read — the accepted-key set and value ranges cannot drift between
+// validation and loading.
 std::optional<Instance> Generate(const Spec& spec, std::string* error,
                                  bool generate) {
   SpecReader r(spec);
   std::optional<Instance> result;
   if (spec.generator == "poisson") {
+    const ArrivalKeys keys = ReadArrivalKeys(r);
     PoissonConfig cfg;
-    cfg.num_inputs = cfg.num_outputs = static_cast<int>(r.GetInt("ports", 16));
-    cfg.port_capacity = r.GetInt("cap", 1);
-    cfg.mean_arrivals_per_round = r.Get("load", 1.0) * cfg.num_inputs;
-    cfg.num_rounds = static_cast<int>(r.GetInt("rounds", 10));
-    cfg.max_demand = r.GetInt("dmax", 1);
+    cfg.num_inputs = cfg.num_outputs = static_cast<int>(keys.ports);
+    cfg.port_capacity = keys.cap;
+    cfg.mean_arrivals_per_round = keys.load * cfg.num_inputs;
+    cfg.num_rounds = static_cast<int>(keys.rounds);
+    cfg.max_demand = keys.dmax;
     cfg.seed = static_cast<std::uint64_t>(r.GetInt("seed", 1));
     if (generate && r.ok()) result = GeneratePoisson(cfg);
   } else if (spec.generator == "coflow") {
+    const ArrivalKeys keys = ReadArrivalKeys(r);
     CoflowGenConfig cfg;
-    cfg.num_inputs = cfg.num_outputs = static_cast<int>(r.GetInt("ports", 16));
-    cfg.port_capacity = r.GetInt("cap", 1);
-    cfg.num_rounds = static_cast<int>(r.GetInt("rounds", 10));
-    cfg.min_width = static_cast<int>(r.GetInt("minwidth", 1));
-    cfg.max_width = static_cast<int>(r.GetInt("width", 8));
+    cfg.num_inputs = cfg.num_outputs = static_cast<int>(keys.ports);
+    cfg.port_capacity = keys.cap;
+    cfg.num_rounds = static_cast<int>(keys.rounds);
+    const long long min_width = r.GetInt("minwidth", 1);
+    const long long max_width = r.GetInt("width", 8);
+    r.Check(min_width >= 1 && min_width <= kMaxInt, "minwidth", kIntRange);
+    r.Check(max_width >= min_width && max_width <= kMaxInt, "width",
+            "in [minwidth, 2^31 - 1]");
+    cfg.min_width = static_cast<int>(min_width);
+    cfg.max_width = static_cast<int>(max_width);
     cfg.width_skew = r.Get("skew", 1.0);
-    cfg.max_demand = r.GetInt("dmax", 1);
+    r.Check(cfg.width_skew > 0.0 && cfg.width_skew <= 1.0, "skew",
+            "in (0, 1]");
+    cfg.max_demand = keys.dmax;
     cfg.seed = static_cast<std::uint64_t>(r.GetInt("seed", 1));
     // `load` is the per-port flow load (poisson semantics); the coflow rate
     // follows from the width distribution's mean.
-    const double load = r.Get("load", 1.0);
     if (generate && r.ok()) {
       cfg.mean_coflows_per_round =
-          load * cfg.num_inputs / MeanCoflowWidth(cfg);
+          keys.load * cfg.num_inputs / MeanCoflowWidth(cfg);
       result = GenerateCoflows(cfg);
     }
   } else if (spec.generator == "cdf") {

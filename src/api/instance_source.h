@@ -45,7 +45,9 @@ bool IsGeneratorSpec(const std::string& source);
 
 // Validates `source` as far as possible WITHOUT generating anything:
 // generator specs (fabric wrappers included, recursively) are parsed and
-// every key checked against the generator's accepted set, with the
+// every key checked against the generator's accepted set (and the
+// poisson/coflow values against their ranges: ports, rounds, cap, dmax,
+// load finite and >= 0, width/minwidth, skew in (0, 1]), with the
 // offending key named in *error; an unknown generator NAME on a
 // generator-shaped source ("name:key=value,..." with a pathless name) is
 // rejected too. Genuine file paths return true — existence and content

@@ -81,6 +81,16 @@ class SpecReader {
     return it == spec_.kv.end() ? fallback : it->second;
   }
 
+  // Value check for a key already read: unless `ok`, records
+  // "<key> must be <what>, got <value>".
+  void Check(bool ok, const char* key, const char* what) {
+    if (ok) return;
+    const auto it = spec_.kv.find(key);
+    Error(std::string(key) + " must be " + what + ", got " +
+          (it == spec_.kv.end() ? std::string("the default")
+                                : "\"" + it->second + "\""));
+  }
+
   // Call after all Get*(): flags keys the generator does not understand.
   void CheckUnknown() {
     for (const auto& [key, value] : spec_.kv) {

@@ -1,16 +1,12 @@
 #include "campaign/campaign_runner.h"
 
-#include <chrono>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
-#include <optional>
 #include <sstream>
 
-#include "api/instance_source.h"
-#include "api/solver.h"
-#include "exp/thread_pool.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
 
@@ -60,18 +56,19 @@ std::int64_t UnixMillisNow() {
       .count();
 }
 
+// meta.json of a task that finished at end_ms after wall_seconds.
 std::string MetaJson(const CampaignSpec& spec, const CampaignGrid& grid,
-                     int task_index, const std::string& task_id,
-                     const std::string& hash_hex, const Provenance& prov,
-                     std::int64_t start_ms, std::int64_t end_ms,
-                     double wall_seconds, const TaskOutcome& outcome) {
-  const SweepTask& task = grid.plan.tasks[task_index];
+                     const SweepTask& task, const Provenance& prov,
+                     std::int64_t end_ms, double wall_seconds,
+                     const TaskOutcome& outcome) {
   const SweepCell& cell = grid.plan.cells[task.cell];
+  const std::int64_t start_ms =
+      end_ms - static_cast<std::int64_t>(wall_seconds * 1e3);
   std::ostringstream out;
   out << "{\n";
   out << "  " << JsonStr("campaign", spec.name) << ",\n";
   out << "  " << JsonStr("grid", grid.spec.name) << ",\n";
-  out << "  " << JsonStr("task_id", task_id) << ",\n";
+  out << "  " << JsonStr("task_id", grid.task_ids[task.index]) << ",\n";
   out << "  \"task_index\": " << task.index << ",\n";
   out << "  \"cell_index\": " << task.cell << ",\n";
   out << "  " << JsonStr("solver", cell.solver) << ",\n";
@@ -82,7 +79,8 @@ std::string MetaJson(const CampaignSpec& spec, const CampaignGrid& grid,
   out << "  \"instance_seed\": " << task.instance_seed << ",\n";
   out << "  \"trial\": " << task.trial << ",\n";
   out << "  \"solver_seed\": " << task.solver_seed << ",\n";
-  out << "  " << JsonStr("spec_hash", hash_hex) << ",\n";
+  out << "  " << JsonStr("spec_hash", HashHex(grid.task_hashes[task.index]))
+      << ",\n";
   WriteProvenanceJson(out, prov, 2);
   out << ",\n";
   out << "  \"start_unix_ms\": " << start_ms << ",\n";
@@ -95,6 +93,20 @@ std::string MetaJson(const CampaignSpec& spec, const CampaignGrid& grid,
   }
   out << "\n}\n";
   return out.str();
+}
+
+// The durable record of one finished task: outcome.json first, then
+// meta.json, the commit marker.
+bool WriteTaskRecord(const std::string& dir, const SweepCell& cell,
+                     const SweepTask& task, const TaskOutcome& outcome,
+                     const std::string& meta_json, std::string* error) {
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  if (ec) return Fail(error, "cannot create " + dir + ": " + ec.message());
+  std::ostringstream record;
+  WriteTaskJsonLine(record, cell, task, outcome);
+  return WriteFileAtomic(dir + "/outcome.json", record.str(), error) &&
+         WriteFileAtomic(dir + "/meta.json", meta_json, error);
 }
 
 }  // namespace
@@ -134,43 +146,7 @@ bool ReadTaskOutcome(const std::string& dir, TaskOutcome& outcome,
   if (!ParseJson(text, doc, &jerr)) {
     return Fail(error, path + ": " + jerr);
   }
-  outcome.ok = doc.GetBool("ok");
-  if (!outcome.ok) {
-    outcome.error = doc.GetString("error", "unknown failure");
-    return true;
-  }
-  outcome.total_response = doc.GetNumber("total_response");
-  outcome.avg_response = doc.GetNumber("avg_response");
-  outcome.p50_response = doc.GetNumber("p50_response");
-  outcome.p95_response = doc.GetNumber("p95_response");
-  outcome.p99_response = doc.GetNumber("p99_response");
-  outcome.max_response = doc.GetNumber("max_response");
-  outcome.stddev_response = doc.GetNumber("stddev_response");
-  outcome.makespan = doc.GetInt("makespan");
-  outcome.num_flows = doc.GetInt("num_flows");
-  outcome.rounds = doc.GetInt("rounds");
-  outcome.peak_backlog = doc.GetInt("peak_backlog");
-  outcome.num_coflows = doc.GetInt("num_coflows");
-  outcome.avg_cct = doc.GetNumber("avg_cct");
-  outcome.p95_cct = doc.GetNumber("p95_cct");
-  outcome.max_cct = doc.GetNumber("max_cct");
-  outcome.avg_slowdown = doc.GetNumber("avg_slowdown");
-  outcome.shards = doc.GetInt("shards");
-  outcome.load_imbalance = doc.GetNumber("load_imbalance");
-  outcome.cross_shard_flows = doc.GetInt("cross_shard_flows");
-  outcome.split_coflows = doc.GetInt("split_coflows");
-  // WriteTaskJsonLine only emits the robustness block for scenario runs;
-  // its presence is the has_scenario bit.
-  if (doc.Find("downtime_rounds") != nullptr) {
-    outcome.has_scenario = true;
-    outcome.scenario_events = doc.GetInt("scenario_events");
-    outcome.downtime_rounds = doc.GetInt("downtime_rounds");
-    outcome.backlog_surge = doc.GetNumber("backlog_surge");
-    outcome.recovery_drain_rounds = doc.GetInt("recovery_drain_rounds");
-    outcome.response_inflation = doc.GetNumber("response_inflation");
-  }
-  outcome.wall_seconds = doc.GetNumber("wall_seconds");
-  outcome.rounds_per_sec = doc.GetNumber("rounds_per_sec");
+  outcome = TaskOutcomeFromJson(doc);
   return true;
 }
 
@@ -193,147 +169,73 @@ bool RunCampaign(const CampaignSpec& spec, const CampaignPlan& plan,
                 "cannot create " + out_root + "/runs: " + ec.message());
   }
 
-  const int jobs = options.jobs < 1 ? 1 : options.jobs;
-  ThreadPool pool(jobs);
-  std::mutex log_mu;            // Serializes progress lines + counters.
   std::atomic<bool> stop{false};  // --fail-fast latch.
-  int done = 0;
-
-  summary.statuses.resize(plan.grids.size());
+  for (const CampaignGrid& grid : plan.grids) {
+    summary.statuses.emplace_back(grid.plan.tasks.size(),
+                                  CampaignTaskStatus::kPending);
+  }
   // Grids run in order; tasks within a grid run concurrently. Campaigns
   // are few-large-grids, so cross-grid overlap buys little and per-grid
   // instance lifetime stays simple.
   for (std::size_t g = 0; g < plan.grids.size(); ++g) {
     const CampaignGrid& grid = plan.grids[g];
     auto& statuses = summary.statuses[g];
-    statuses.assign(grid.plan.tasks.size(), CampaignTaskStatus::kPending);
 
     // Resume pass: decide per task before materializing anything.
+    std::vector<char> run_mask(grid.plan.tasks.size(), 1);
     for (std::size_t t = 0; t < grid.plan.tasks.size(); ++t) {
       if (options.resume &&
           CampaignTaskUpToDate(
               CampaignTaskDir(out_root, grid.task_ids[t]),
               HashHex(grid.task_hashes[t]), prov)) {
         statuses[t] = CampaignTaskStatus::kSkipped;
+        run_mask[t] = 0;
         ++summary.skipped;
       }
     }
 
-    // Materialize only the instances the remaining tasks reference.
-    const std::size_t num_instances = grid.plan.unique_instances.size();
-    std::vector<char> needed(num_instances, 0);
-    for (std::size_t t = 0; t < grid.plan.tasks.size(); ++t) {
-      if (statuses[t] == CampaignTaskStatus::kPending) {
-        needed[grid.plan.tasks[t].instance_slot] = 1;
-      }
-    }
-    std::vector<std::optional<Instance>> instances(num_instances);
-    std::vector<std::string> instance_errors(num_instances);
-    for (std::size_t i = 0; i < num_instances; ++i) {
-      if (!needed[i]) continue;
-      pool.Submit([&, i] {
-        instances[i] =
-            LoadInstance(grid.plan.unique_instances[i], &instance_errors[i]);
-      });
-    }
-    pool.Wait();
-
-    for (std::size_t t = 0; t < grid.plan.tasks.size(); ++t) {
-      if (statuses[t] != CampaignTaskStatus::kPending) continue;
-      pool.Submit([&, g, t] {
-        const CampaignGrid& grid = plan.grids[g];
-        const SweepTask& task = grid.plan.tasks[t];
-        const SweepCell& cell = grid.plan.cells[task.cell];
-        auto& status = summary.statuses[g][t];
-        if (stop.load(std::memory_order_relaxed)) {
-          status = CampaignTaskStatus::kNotRun;
-          return;
-        }
-        const std::string dir =
-            CampaignTaskDir(out_root, grid.task_ids[t]);
-        std::error_code dir_ec;
-        fs::create_directories(dir, dir_ec);
-
-        const std::int64_t start_ms = UnixMillisNow();
-        Stopwatch task_timer;
-        TaskOutcome outcome;
-        const auto& instance = instances[task.instance_slot];
-        if (dir_ec) {
-          outcome.ok = false;
-          outcome.error = "cannot create " + dir + ": " + dir_ec.message();
-        } else if (!instance.has_value()) {
-          outcome.ok = false;
-          outcome.error = "instance: " + instance_errors[task.instance_slot];
-        } else {
-          SolveOptions solve;
-          solve.seed = task.solver_seed;
-          solve.max_rounds = static_cast<Round>(grid.spec.max_rounds);
-          solve.params = grid.spec.params;
-          if (cell.scenario && *cell.scenario != "none") {
-            solve.params["scenario"] = *cell.scenario;
+    ExecuteSweepPlan(
+        grid.spec, grid.plan, registry, options.jobs, run_mask, &stop,
+        [&](const SweepTask& task, const TaskOutcome& outcome,
+            double wall) {
+          const std::string& task_id = grid.task_ids[task.index];
+          std::string write_error;
+          const bool wrote = WriteTaskRecord(
+              CampaignTaskDir(out_root, task_id), grid.plan.cells[task.cell],
+              task, outcome,
+              MetaJson(spec, grid, task, prov, UnixMillisNow(), wall, outcome),
+              &write_error);
+          const bool ok = outcome.ok && wrote;
+          statuses[task.index] =
+              ok ? CampaignTaskStatus::kOk : CampaignTaskStatus::kFailed;
+          if (!ok && options.fail_fast) {
+            stop.store(true, std::memory_order_relaxed);
           }
-          outcome = OutcomeFromSolveReport(
-              registry.Solve(cell.solver, *instance, solve));
-        }
-        const double wall = task_timer.ElapsedSeconds();
-        const std::int64_t end_ms = UnixMillisNow();
-
-        // Durable record: outcome first, meta last (the commit marker).
-        std::string write_error;
-        bool wrote = true;
-        if (!dir_ec) {
-          std::ostringstream oj;
-          WriteTaskJsonLine(oj, cell, task, outcome);
-          wrote = WriteFileAtomic(dir + "/outcome.json", oj.str(),
-                                  &write_error) &&
-                  WriteFileAtomic(
-                      dir + "/meta.json",
-                      MetaJson(spec, grid, static_cast<int>(t),
-                               grid.task_ids[t], HashHex(grid.task_hashes[t]),
-                               prov, start_ms, end_ms, wall, outcome),
-                      &write_error);
-        }
-        if (!wrote) {
-          outcome.ok = false;
-          outcome.error = write_error;
-        }
-        status = outcome.ok ? CampaignTaskStatus::kOk
-                            : CampaignTaskStatus::kFailed;
-        if (!outcome.ok && options.fail_fast) {
-          stop.store(true, std::memory_order_relaxed);
-        }
-        std::lock_guard<std::mutex> lock(log_mu);
-        ++done;
-        ++summary.ran;
-        outcome.ok ? ++summary.ok : ++summary.failed;
-        if (options.log != nullptr) {
-          *options.log << "[" << (summary.ran + summary.skipped) << "/"
-                       << summary.total << "] "
-                       << (outcome.ok ? "ok    " : "FAIL  ")
-                       << grid.task_ids[t];
-          char wall_buf[32];
-          std::snprintf(wall_buf, sizeof(wall_buf), " (%.2fs)", wall);
-          *options.log << wall_buf;
-          if (!outcome.ok) *options.log << "  " << outcome.error;
-          *options.log << std::endl;
-        }
-      });
-    }
-    pool.Wait();
+          ++summary.ran;
+          ok ? ++summary.ok : ++summary.failed;
+          if (options.log != nullptr) {
+            char wall_buf[32];
+            std::snprintf(wall_buf, sizeof(wall_buf), " (%.2fs)", wall);
+            *options.log << "[" << (summary.ran + summary.skipped) << "/"
+                         << summary.total << "] "
+                         << (ok ? "ok    " : "FAIL  ") << task_id
+                         << wall_buf;
+            if (!ok) {
+              *options.log << "  " << (wrote ? outcome.error : write_error);
+            }
+            *options.log << std::endl;
+          }
+        });
     if (stop.load(std::memory_order_relaxed)) break;
   }
 
-  // Count what fail-fast left behind (including whole unreached grids).
-  for (std::size_t g = 0; g < plan.grids.size(); ++g) {
-    auto& statuses = summary.statuses[g];
-    statuses.resize(plan.grids[g].plan.tasks.size(),
-                    CampaignTaskStatus::kPending);
+  // Whatever is still pending was left behind by fail-fast (whole
+  // unreached grids included).
+  for (auto& statuses : summary.statuses) {
     for (auto& s : statuses) {
-      if (s == CampaignTaskStatus::kPending ||
-          s == CampaignTaskStatus::kNotRun) {
-        s = CampaignTaskStatus::kNotRun;
-        ++summary.not_run;
-      }
+      if (s != CampaignTaskStatus::kPending) continue;
+      s = CampaignTaskStatus::kNotRun;
+      ++summary.not_run;
     }
   }
   summary.wall_seconds = campaign_timer.ElapsedSeconds();

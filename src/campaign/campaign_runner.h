@@ -1,8 +1,12 @@
-// CampaignRunner: executes a CampaignPlan durably — every task owns a
-// directory under <out_root>/runs/<task_id>/ holding:
+// CampaignRunner: the durable sink of the experiment executor
+// (exp/experiment_runner.h ExecuteSweepPlan). Each grid of a CampaignPlan
+// runs through that one task loop; this file only decides which tasks run
+// and records what finished. Every task owns a directory under
+// <out_root>/runs/<task_id>/ holding:
 //
-//   outcome.json   the task's result record (the WriteTaskJsonLine object:
-//                  metrics, diagnostics, wall time — or ok=false + error)
+//   outcome.json   the task's result record (the WriteTaskJsonLine object
+//                  of exp/task_outcome.h: metrics, diagnostics, wall time —
+//                  or ok=false + error)
 //   meta.json      the commit marker: campaign/grid/task identity, spec
 //                  hash, build provenance (git SHA, compiler, flags),
 //                  start/end timestamps, wall time, exit code, status
@@ -19,12 +23,12 @@
 //   - provenance git_sha and compiler_flags == the running binary's
 //     (results from a different commit or build flags are not comparable)
 //
-// Execution runs on the exp/thread_pool.h work-stealing pool with bounded
-// concurrency. Instances are materialized once per grid, and only the ones
-// to-be-run tasks reference — a fully resumed grid loads nothing.
-// --fail-fast stops scheduling after the first failure (running tasks
-// finish; unstarted ones are left untouched for the next resume); the
-// default keeps going so one broken cell cannot void a campaign.
+// Resumed tasks are masked out of the executor, which then materializes
+// only the instances the remaining tasks reference — a fully resumed grid
+// loads nothing. --fail-fast sets the executor's stop latch after the
+// first failure (running tasks finish; unstarted ones are left untouched
+// for the next resume); the default keeps going so one broken cell cannot
+// void a campaign.
 #ifndef FLOWSCHED_CAMPAIGN_CAMPAIGN_RUNNER_H_
 #define FLOWSCHED_CAMPAIGN_CAMPAIGN_RUNNER_H_
 
@@ -86,9 +90,9 @@ bool CampaignTaskUpToDate(const std::string& dir,
                           const std::string& expected_hash_hex,
                           const Provenance& prov);
 
-// Reads a task directory's outcome.json back into a TaskOutcome. Returns
-// false + *error when the file is missing or malformed (collect treats
-// that as a failed task).
+// Reads a task directory's outcome.json back into a TaskOutcome
+// (TaskOutcomeFromJson). Returns false + *error when the file is missing
+// or malformed (collect treats that as a failed task).
 bool ReadTaskOutcome(const std::string& dir, TaskOutcome& outcome,
                      std::string* error);
 

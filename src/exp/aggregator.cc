@@ -25,6 +25,18 @@ void WriteCsvStats(std::ostream& out, const RunningStats& s) {
       << JsonNum(Ci95HalfWidth(s));
 }
 
+// Whether a cell's report lists a group's fields.
+bool Reported(const CellAggregate& c, OutcomeGroup group,
+              bool include_timing) {
+  switch (group) {
+    case OutcomeGroup::kCoflow: return c.num_coflows > 0;
+    case OutcomeGroup::kFabric: return c.shards > 0;
+    case OutcomeGroup::kScenario: return c.scenario_n > 0;
+    case OutcomeGroup::kTiming: return include_timing;
+    default: return true;
+  }
+}
+
 }  // namespace
 
 double Ci95HalfWidth(const RunningStats& s) {
@@ -47,41 +59,24 @@ void Aggregator::Add(const SweepTask& task, const TaskOutcome& outcome) {
     return;
   }
   ++cell.n;
-  cell.num_flows += outcome.num_flows;
-  cell.total_response.Add(outcome.total_response);
-  cell.avg_response.Add(outcome.avg_response);
-  cell.p50_response.Add(outcome.p50_response);
-  cell.p95_response.Add(outcome.p95_response);
-  cell.p99_response.Add(outcome.p99_response);
-  cell.max_response.Add(outcome.max_response);
-  cell.makespan.Add(static_cast<double>(outcome.makespan));
-  cell.peak_backlog.Add(static_cast<double>(outcome.peak_backlog));
-  if (outcome.num_coflows > 0) {
-    cell.num_coflows += outcome.num_coflows;
-    cell.avg_cct.Add(outcome.avg_cct);
-    cell.p95_cct.Add(outcome.p95_cct);
-    cell.max_cct.Add(outcome.max_cct);
-    cell.avg_slowdown.Add(outcome.avg_slowdown);
+  if (outcome.has_scenario) ++cell.scenario_n;
+  for (const OutcomeField& f : OutcomeFields()) {
+    if (!CarriesGroup(outcome, f.group)) continue;
+    switch (f.fold.kind) {
+      case CellFold::kStats:
+        (cell.*f.fold.stats).Add(f.Get(outcome));
+        break;
+      case CellFold::kSum:
+        cell.*f.fold.counter += outcome.*f.member.as_int;
+        break;
+      case CellFold::kMax:
+        cell.*f.fold.counter =
+            std::max(cell.*f.fold.counter, outcome.*f.member.as_int);
+        break;
+      case CellFold::kNone:
+        break;
+    }
   }
-  if (outcome.shards > 0) {
-    cell.shards = std::max(cell.shards, outcome.shards);
-    cell.load_imbalance.Add(outcome.load_imbalance);
-    cell.cross_shard_flows.Add(static_cast<double>(outcome.cross_shard_flows));
-    cell.split_coflows.Add(static_cast<double>(outcome.split_coflows));
-  }
-  if (outcome.has_scenario) {
-    ++cell.scenario_n;
-    cell.scenario_events = std::max(cell.scenario_events,
-                                    outcome.scenario_events);
-    cell.downtime_rounds.Add(static_cast<double>(outcome.downtime_rounds));
-    cell.backlog_surge.Add(outcome.backlog_surge);
-    cell.recovery_drain_rounds.Add(
-        static_cast<double>(outcome.recovery_drain_rounds));
-    cell.response_inflation.Add(outcome.response_inflation);
-    cell.migrated_flows.Add(static_cast<double>(outcome.migrated_flows));
-  }
-  cell.wall_seconds.Add(outcome.wall_seconds);
-  cell.rounds_per_sec.Add(outcome.rounds_per_sec);
 }
 
 void Aggregator::AddRun(const SweepRun& run) {
@@ -129,63 +124,26 @@ void Aggregator::WriteJson(std::ostream& out, const SweepSpec& spec, int jobs,
     if (key.shards) out << ", \"shards\": " << *key.shards;
     if (key.dist) out << ", " << JsonStr("dist", *key.dist);
     if (key.scenario) out << ", " << JsonStr("scenario", *key.scenario);
-    out << ", \"n\": " << c.n << ", \"failures\": " << c.failures
-        << ", \"num_flows\": " << c.num_flows;
+    out << ", \"n\": " << c.n << ", \"failures\": " << c.failures;
+    // The always-carried counters head the cell, even when n == 0.
+    for (const OutcomeField& f : OutcomeFields()) {
+      if (f.group == OutcomeGroup::kAlways && f.IsCounter()) {
+        out << ", \"" << f.CellKey() << "\": " << c.*f.fold.counter;
+      }
+    }
     if (c.n > 0) {
-      out << ",\n     \"total_response\": ";
-      WriteStatsObject(out, c.total_response);
-      out << ",\n     \"avg_response\": ";
-      WriteStatsObject(out, c.avg_response);
-      out << ",\n     \"p50_response\": ";
-      WriteStatsObject(out, c.p50_response);
-      out << ",\n     \"p95_response\": ";
-      WriteStatsObject(out, c.p95_response);
-      out << ",\n     \"p99_response\": ";
-      WriteStatsObject(out, c.p99_response);
-      out << ",\n     \"max_response\": ";
-      WriteStatsObject(out, c.max_response);
-      out << ",\n     \"makespan\": ";
-      WriteStatsObject(out, c.makespan);
-      out << ",\n     \"peak_backlog\": ";
-      WriteStatsObject(out, c.peak_backlog);
-      if (c.num_coflows > 0) {
-        out << ",\n     \"num_coflows\": " << c.num_coflows;
-        out << ",\n     \"avg_cct\": ";
-        WriteStatsObject(out, c.avg_cct);
-        out << ",\n     \"p95_cct\": ";
-        WriteStatsObject(out, c.p95_cct);
-        out << ",\n     \"max_cct\": ";
-        WriteStatsObject(out, c.max_cct);
-        out << ",\n     \"avg_slowdown\": ";
-        WriteStatsObject(out, c.avg_slowdown);
-      }
-      if (c.shards > 0) {
-        out << ",\n     \"fabric_shards\": " << c.shards;
-        out << ",\n     \"load_imbalance\": ";
-        WriteStatsObject(out, c.load_imbalance);
-        out << ",\n     \"cross_shard_flows\": ";
-        WriteStatsObject(out, c.cross_shard_flows);
-        out << ",\n     \"split_coflows\": ";
-        WriteStatsObject(out, c.split_coflows);
-      }
-      if (c.scenario_n > 0) {
-        out << ",\n     \"scenario_events\": " << c.scenario_events;
-        out << ",\n     \"downtime_rounds\": ";
-        WriteStatsObject(out, c.downtime_rounds);
-        out << ",\n     \"backlog_surge\": ";
-        WriteStatsObject(out, c.backlog_surge);
-        out << ",\n     \"recovery_drain_rounds\": ";
-        WriteStatsObject(out, c.recovery_drain_rounds);
-        out << ",\n     \"response_inflation\": ";
-        WriteStatsObject(out, c.response_inflation);
-        out << ",\n     \"migrated_flows\": ";
-        WriteStatsObject(out, c.migrated_flows);
-      }
-      if (include_timing) {
-        out << ",\n     \"wall_seconds\": ";
-        WriteStatsObject(out, c.wall_seconds);
-        out << ",\n     \"rounds_per_sec\": ";
-        WriteStatsObject(out, c.rounds_per_sec);
+      for (const OutcomeField& f : OutcomeFields()) {
+        if (f.fold.kind == CellFold::kNone ||
+            (f.group == OutcomeGroup::kAlways && f.IsCounter()) ||
+            !Reported(c, f.group, include_timing)) {
+          continue;
+        }
+        out << ",\n     \"" << f.CellKey() << "\": ";
+        if (f.IsCounter()) {
+          out << c.*f.fold.counter;
+        } else {
+          WriteStatsObject(out, c.*f.fold.stats);
+        }
       }
     }
     out << "}" << (i + 1 < cells_.size() ? "," : "") << "\n";
@@ -198,28 +156,28 @@ void Aggregator::WriteJson(std::ostream& out, const SweepSpec& spec, int jobs,
 }
 
 void Aggregator::WriteCsv(std::ostream& out, bool include_timing) const {
-  out << "solver,instance,load,ports,rounds,shards,dist,scenario,n,failures,"
-         "num_flows";
-  // Coflow, fabric, and robustness columns are always present (zeros for
-  // solvers/cells that emit none) so the header is independent of which
-  // solvers ran.
-  const char* metrics[] = {"total_response",        "avg_response",
-                           "p50_response",          "p95_response",
-                           "p99_response",          "max_response",
-                           "makespan",              "peak_backlog",
-                           "avg_cct",               "p95_cct",
-                           "max_cct",               "avg_slowdown",
-                           "load_imbalance",        "cross_shard_flows",
-                           "split_coflows",         "downtime_rounds",
-                           "backlog_surge",         "recovery_drain_rounds",
-                           "response_inflation",    "migrated_flows"};
-  out << ",num_coflows,fabric_shards,scenario_events";
-  for (const char* m : metrics) {
+  // Counters, then five statistics columns per distribution; coflow,
+  // fabric and robustness columns are always present (zeros for cells that
+  // carry none) so the header is independent of which solvers ran. Timing
+  // contributes only its means.
+  const auto fields = OutcomeFields();
+  const auto timing = [](const OutcomeField& f) {
+    return f.group == OutcomeGroup::kTiming;
+  };
+  out << "solver,instance,load,ports,rounds,shards,dist,scenario,n,failures";
+  for (const OutcomeField& f : fields) {
+    if (f.IsCounter()) out << "," << f.CellKey();
+  }
+  for (const OutcomeField& f : fields) {
+    if (f.fold.kind != CellFold::kStats || timing(f)) continue;
+    const char* m = f.CellKey();
     out << "," << m << "_mean," << m << "_stddev," << m << "_min," << m
         << "_max," << m << "_ci95";
   }
   if (include_timing) {
-    out << ",wall_seconds_mean,rounds_per_sec_mean";
+    for (const OutcomeField& f : fields) {
+      if (timing(f)) out << "," << f.CellKey() << "_mean";
+    }
   }
   out << "\n";
   for (const CellAggregate& c : cells_) {
@@ -240,22 +198,19 @@ void Aggregator::WriteCsv(std::ostream& out, bool include_timing) const {
     if (key.dist) out << CsvEscapeField(*key.dist);
     out << ",";
     if (key.scenario) out << CsvEscapeField(*key.scenario);
-    out << "," << c.n << "," << c.failures << "," << c.num_flows << ","
-        << c.num_coflows << "," << c.shards << "," << c.scenario_events;
-    const RunningStats* stats[] = {
-        &c.total_response, &c.avg_response, &c.p50_response, &c.p95_response,
-        &c.p99_response,   &c.max_response, &c.makespan,     &c.peak_backlog,
-        &c.avg_cct,        &c.p95_cct,      &c.max_cct,      &c.avg_slowdown,
-        &c.load_imbalance, &c.cross_shard_flows, &c.split_coflows,
-        &c.downtime_rounds, &c.backlog_surge, &c.recovery_drain_rounds,
-        &c.response_inflation, &c.migrated_flows};
-    for (const RunningStats* s : stats) {
+    out << "," << c.n << "," << c.failures;
+    for (const OutcomeField& f : fields) {
+      if (f.IsCounter()) out << "," << c.*f.fold.counter;
+    }
+    for (const OutcomeField& f : fields) {
+      if (f.fold.kind != CellFold::kStats || timing(f)) continue;
       out << ",";
-      WriteCsvStats(out, *s);
+      WriteCsvStats(out, c.*f.fold.stats);
     }
     if (include_timing) {
-      out << "," << JsonNum(c.wall_seconds.mean()) << ","
-          << JsonNum(c.rounds_per_sec.mean());
+      for (const OutcomeField& f : fields) {
+        if (timing(f)) out << "," << JsonNum((c.*f.fold.stats).mean());
+      }
     }
     out << "\n";
   }

@@ -1,9 +1,9 @@
 // Aggregator: streams per-task outcomes into per-cell distributional
 // statistics and writes the sweep reports.
 //
-// Each cell keeps O(1) state per metric — Welford mean/variance plus
-// min/max via util/stats.h RunningStats — so a million-task campaign
-// aggregates in constant memory. Confidence intervals are the bootstrap-
+// Each cell is a CellAggregate (exp/task_outcome.h), folded and written
+// row by row from the outcome field table, so the reports list exactly the
+// fields a task record carries. Confidence intervals are the bootstrap-
 // free normal approximation: mean ± 1.96 * stddev / sqrt(n), emitted as
 // the half-width (0 for n < 2).
 //
@@ -25,54 +25,10 @@
 
 #include "exp/experiment_runner.h"
 #include "exp/sweep_spec.h"
+#include "exp/task_outcome.h"
 #include "util/stats.h"
 
 namespace flowsched {
-
-struct CellAggregate {
-  int cell = 0;        // Index into the plan's cells.
-  int n = 0;           // Successful tasks aggregated.
-  int failures = 0;
-  long long num_flows = 0;  // Total flows across successful tasks.
-  // Distribution of each per-run summary statistic across (seed, trial)
-  // repetitions of the cell.
-  RunningStats total_response;
-  RunningStats avg_response;
-  RunningStats p50_response;
-  RunningStats p95_response;
-  RunningStats p99_response;
-  RunningStats max_response;
-  RunningStats makespan;
-  RunningStats peak_backlog;
-  // Coflow completion time, fed only by tasks reporting num_coflows > 0
-  // (coflow.* and fabric.* solvers); the report writers emit the block
-  // when any did.
-  long long num_coflows = 0;  // Total groups across those tasks.
-  RunningStats avg_cct;
-  RunningStats p95_cct;
-  RunningStats max_cct;
-  RunningStats avg_slowdown;
-  // Fabric sharding, fed only by tasks reporting shards > 0 (fabric.*
-  // solvers). `shards` is a cell-level constant ({shards} substitutes into
-  // the instance axis), recorded as the max seen for robustness.
-  long long shards = 0;
-  RunningStats load_imbalance;
-  RunningStats cross_shard_flows;
-  RunningStats split_coflows;
-  // Robustness, fed only by tasks that ran under a scenario script
-  // (TaskOutcome::has_scenario); scenario_n counts them so the report
-  // writers can gate the block per cell.
-  int scenario_n = 0;
-  long long scenario_events = 0;  // Cell-level constant; max seen.
-  RunningStats downtime_rounds;
-  RunningStats backlog_surge;
-  RunningStats recovery_drain_rounds;
-  RunningStats response_inflation;
-  RunningStats migrated_flows;
-  // Timing (schedule-dependent).
-  RunningStats wall_seconds;
-  RunningStats rounds_per_sec;
-};
 
 // Normal-approximation 95% CI half-width for a RunningStats.
 double Ci95HalfWidth(const RunningStats& s);

@@ -1,22 +1,28 @@
-// ExperimentRunner: executes an expanded SweepPlan on a work-stealing
-// ThreadPool and collects one TaskOutcome per task.
+// The experiment executor: one task loop, ExecuteSweepPlan, with two
+// sinks on top of it.
+//
+//   RunSweep     keeps every outcome in memory (SweepRun), streams each
+//                finished task as a JSONL line, reports progress
+//   RunCampaign  (campaign/campaign_runner.h) skips tasks resume found
+//                done, stops early under --fail-fast, and writes each
+//                finished task's durable outcome.json + meta.json
+//
+// The loop materializes the unique instances its tasks reference, once
+// each and in parallel on the pool (generating fifty 50k-flow Poisson
+// families is itself parallel work), then runs one pool task per sweep
+// task. Outcome records use the one schema in exp/task_outcome.h.
 //
 // Determinism contract: every task runs a freshly Create()d solver (its own
 // SimulationContext, scratch, and policy state) on a read-only shared
-// Instance, seeded from the task's precomputed solver_seed. Outcomes land
-// in a pre-sized vector slot indexed by task — no cross-thread merging —
-// so everything except wall-clock fields is byte-identical for any
-// --jobs value. Aggregation happens afterwards, in task order, in the
-// Aggregator (exp/aggregator.h).
-//
-// Unique instances are materialized first (also on the pool: generating
-// fifty 50k-flow Poisson families is itself parallel work), then shared by
-// every task that references them. LoadInstance and Solve are safe to call
-// concurrently: the registry is read-only after startup and solvers own
-// all their mutable state.
+// Instance, seeded from the task's precomputed solver_seed, so everything
+// except wall-clock fields is byte-identical for any --jobs value. Callers
+// that aggregate do so afterwards, in task order (exp/aggregator.h).
+// LoadInstance and Solve are safe to call concurrently: the registry is
+// read-only after startup and solvers own all their mutable state.
 #ifndef FLOWSCHED_EXP_EXPERIMENT_RUNNER_H_
 #define FLOWSCHED_EXP_EXPERIMENT_RUNNER_H_
 
+#include <atomic>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -24,52 +30,9 @@
 
 #include "api/registry.h"
 #include "exp/sweep_spec.h"
+#include "exp/task_outcome.h"
 
 namespace flowsched {
-
-// The per-run result the Aggregator consumes: the scalar summary of one
-// solve. Deterministic fields first; wall_seconds / rounds_per_sec are the
-// only schedule-dependent ones.
-struct TaskOutcome {
-  bool ok = false;
-  std::string error;
-  double total_response = 0.0;
-  double avg_response = 0.0;
-  double p50_response = 0.0;
-  double p95_response = 0.0;
-  double p99_response = 0.0;
-  double max_response = 0.0;
-  double stddev_response = 0.0;
-  long long makespan = 0;
-  long long num_flows = 0;
-  long long rounds = 0;        // diagnostics["rounds_simulated"] (0 offline).
-  long long peak_backlog = 0;  // diagnostics["peak_backlog"] (0 offline).
-  // Coflow completion-time diagnostics emitted by coflow.* and fabric.*
-  // solvers; num_coflows == 0 for other solvers.
-  long long num_coflows = 0;
-  double avg_cct = 0.0;
-  double p95_cct = 0.0;
-  double max_cct = 0.0;
-  double avg_slowdown = 0.0;
-  // Fabric sharding diagnostics emitted by fabric.* solvers
-  // (fabric/fabric_solvers.cc); shards == 0 for everything else.
-  long long shards = 0;
-  double load_imbalance = 0.0;
-  long long cross_shard_flows = 0;
-  long long split_coflows = 0;
-  // Robustness diagnostics emitted when the task ran under a scenario
-  // script (api/scenario_support.h); has_scenario == false for fault-free
-  // runs, which carry none of them.
-  bool has_scenario = false;
-  long long scenario_events = 0;
-  long long downtime_rounds = 0;
-  double backlog_surge = 0.0;
-  long long recovery_drain_rounds = 0;
-  double response_inflation = 0.0;
-  long long migrated_flows = 0;  // MIGRATE re-homings (0 without MIGRATE).
-  double wall_seconds = 0.0;   // Timing — excluded from determinism checks.
-  double rounds_per_sec = 0.0;
-};
 
 struct RunnerOptions {
   int jobs = 1;  // Clamped to >= 1.
@@ -98,17 +61,21 @@ struct SweepRun {
 bool RunSweep(const SweepSpec& spec, const RunnerOptions& options,
               SweepRun& run, std::string* error);
 
-// Writes the incremental JSONL line for one finished task (exposed for
-// tests; RunSweep calls it when RunnerOptions::jsonl is set). The campaign
-// runner writes the same object as each task's durable outcome.json, so
-// the two records share one schema.
-void WriteTaskJsonLine(std::ostream& out, const SweepCell& cell,
-                       const SweepTask& task, const TaskOutcome& outcome);
+// Called once per finished task, serialized, in completion order, with
+// the task's wall time (instance lookup + solve).
+using TaskDoneFn = std::function<void(const SweepTask& task,
+                                      const TaskOutcome& outcome,
+                                      double task_seconds)>;
 
-// Converts one SolveReport into the TaskOutcome the Aggregator consumes.
-// Shared by RunSweep and the durable campaign runner
-// (campaign/campaign_runner.h).
-TaskOutcome OutcomeFromSolveReport(const SolveReport& report);
+// The one task loop behind RunSweep and RunCampaign. Runs every task of
+// `plan` whose `run_mask` entry is nonzero (all tasks when the mask is
+// empty) on a `jobs`-worker ThreadPool. A task that starts after `stop`
+// (optional) is set is skipped without a callback.
+void ExecuteSweepPlan(const SweepSpec& spec, const SweepPlan& plan,
+                      const SolverRegistry& registry, int jobs,
+                      const std::vector<char>& run_mask,
+                      const std::atomic<bool>* stop,
+                      const TaskDoneFn& on_done);
 
 }  // namespace flowsched
 

@@ -1,9 +1,9 @@
 // Two-phase revised primal simplex with an explicit dense basis inverse.
 //
-// Design targets (see DESIGN.md §4): the scheduling LPs have a few thousand
-// rows, tens of thousands of columns, and ~3 nonzeros per column. A revised
-// simplex with a dense row-major B^{-1} gives O(m^2) per pivot with fully
-// contiguous inner loops, which is fast at this scale and has no external
+// Design targets: the scheduling LPs have a few thousand rows, tens of
+// thousands of columns, and ~3 nonzeros per column. A revised simplex with
+// a dense row-major B^{-1} gives O(m^2) per pivot with fully contiguous
+// inner loops, which is fast at this scale and has no external
 // dependencies. Basic optimal solutions (vertices) are guaranteed, which the
 // iterative-rounding algorithms require.
 //

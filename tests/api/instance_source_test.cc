@@ -291,5 +291,54 @@ TEST(InstanceSourceTest, ValidateInstanceSpecChecksKeysWithoutGenerating) {
   EXPECT_NE(error.find("bogus"), std::string::npos) << error;
 }
 
+// Out-of-range poisson/coflow values used to reach an FS_CHECK in the
+// generator and abort the process (flowsched_cli exit 134 on
+// poisson:load=nan). They are spec errors now, at load and at validation,
+// and the error names the key.
+TEST(InstanceSourceTest, OutOfRangeGeneratorValuesAreNamedErrors) {
+  const struct {
+    const char* spec;
+    const char* key;
+  } cases[] = {
+      {"poisson:load=nan", "load"},
+      {"poisson:load=-1", "load"},
+      {"poisson:load=inf", "load"},
+      {"poisson:ports=0", "ports"},
+      {"poisson:ports=4294967297", "ports"},
+      {"poisson:rounds=-3", "rounds"},
+      {"poisson:cap=0", "cap"},
+      {"poisson:dmax=0", "dmax"},
+      {"coflow:width=0", "width"},
+      {"coflow:minwidth=0", "minwidth"},
+      {"coflow:minwidth=5,width=4", "width"},
+      {"coflow:skew=2", "skew"},
+      {"coflow:skew=0", "skew"},
+      {"coflow:skew=nan", "skew"},
+      {"coflow:load=-0.5", "load"},
+      {"coflow:ports=-2", "ports"},
+      {"fabric:shards=2,poisson:ports=8,load=-1", "load"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.spec);
+    std::string error;
+    EXPECT_FALSE(ValidateInstanceSpec(c.spec, &error));
+    EXPECT_NE(error.find(std::string(c.key) + " must be"), std::string::npos)
+        << error;
+    error.clear();
+    EXPECT_FALSE(LoadInstance(c.spec, &error).has_value());
+    EXPECT_NE(error.find(std::string(c.key) + " must be"), std::string::npos)
+        << error;
+  }
+  // The boundaries stay valid.
+  for (const char* spec :
+       {"poisson:ports=1,load=0,rounds=1,cap=1,dmax=1",
+        "coflow:ports=4,load=0,rounds=1,minwidth=2,width=2,skew=1",
+        "coflow:ports=4,rounds=3,skew=0.01"}) {
+    std::string error;
+    EXPECT_TRUE(LoadInstance(spec, &error).has_value()) << spec << ": "
+                                                        << error;
+  }
+}
+
 }  // namespace
 }  // namespace flowsched

@@ -169,6 +169,22 @@ TEST(ExperimentRunnerTest, UnknownGeneratorKeysFailTheSweepUpFront) {
   EXPECT_TRUE(run.outcomes.empty());
 }
 
+// `--loads=1,-1` used to abort the whole sweep inside the generator
+// (exit 134, empty JSONL). An out-of-range axis value is an expansion
+// error naming the key, before any task runs.
+TEST(ExperimentRunnerTest, OutOfRangeAxisValuesFailTheSweepUpFront) {
+  SweepSpec spec;
+  spec.name = "negative-load";
+  spec.solvers = {"online.fifo"};
+  spec.instances = {"poisson:ports=4,load={load},rounds=5,seed=1"};
+  spec.loads = {1.0, -1.0};
+  SweepRun run;
+  std::string error;
+  EXPECT_FALSE(RunSweep(spec, RunnerOptions{}, run, &error));
+  EXPECT_NE(error.find("load must be"), std::string::npos) << error;
+  EXPECT_TRUE(run.outcomes.empty());
+}
+
 TEST(ExperimentRunnerTest, JsonlStreamsOneLinePerTask) {
   SweepSpec spec = SmallGrid();
   spec.solvers = {"online.fifo"};

@@ -2,7 +2,7 @@
 # Local mirror of .github/workflows/ci.yml: the tier-1 verify sequence in
 # Debug and Release, a CLI smoke test, the docs checks (generated
 # docs/solvers.md freshness + markdown link resolution), and the Debug
-# ASan/UBSan leg over every suite.
+# ASan/UBSan and TSan legs over every suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +16,20 @@ for build_type in Debug Release; do
       --instance=poisson:ports=6,load=1.0,rounds=6 --solver=all
   "./${build_dir}/tools/flowsched_cli" --list-solvers | grep -q '^coflow.sebf$'
   "./${build_dir}/tools/flowsched_cli" --list-solvers | grep -q '^fabric.sebf$'
+  # Out-of-range generator values are spec errors (exit 2, the key named),
+  # never an abort — in the CLI and at sweep expansion.
+  rc=0
+  "./${build_dir}/tools/flowsched_cli" --instance=poisson:load=nan \
+      --solver=online.fifo 2> "${build_dir}/cli_err.txt" || rc=$?
+  [[ "${rc}" == 2 ]] && grep -q 'load must be' "${build_dir}/cli_err.txt" \
+    || { echo "error: poisson:load=nan did not fail cleanly" >&2; exit 1; }
+  rc=0
+  "./${build_dir}/tools/flowsched_sweep" --solvers=online.fifo \
+      --instances='poisson:ports=4,load={load},rounds=5,seed=1' \
+      --loads=1,-1 --quiet --out="${build_dir}/bad_sweep" \
+      2> "${build_dir}/sweep_err.txt" || rc=$?
+  [[ "${rc}" == 2 ]] && grep -q 'load must be' "${build_dir}/sweep_err.txt" \
+    || { echo "error: --loads=1,-1 did not fail cleanly" >&2; exit 1; }
   if [[ "${build_type}" == "Release" ]]; then
     # Docs job: docs/solvers.md must match the registry, and every relative
     # markdown link in README/docs must resolve.
@@ -146,4 +160,11 @@ cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DFLOWSCHED_BUILD_BENCHES=OFF -DFLOWSCHED_BUILD_EXAMPLES=OFF
 cmake --build build-ci-asan -j "$(nproc)"
 (cd build-ci-asan && ctest --output-on-failure -j "$(nproc)")
+
+echo "=== Debug TSan (all suites) ==="
+cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DFLOWSCHED_SANITIZE=thread \
+    -DFLOWSCHED_BUILD_BENCHES=OFF -DFLOWSCHED_BUILD_EXAMPLES=OFF
+cmake --build build-ci-tsan -j "$(nproc)"
+(cd build-ci-tsan && ctest --output-on-failure -j "$(nproc)")
 echo "CI OK"
