@@ -56,9 +56,9 @@ ArrivalKeys ReadArrivalKeys(SpecReader& r) {
   return keys;
 }
 
-// Reads (and thereby key-checks, and for poisson/coflow value-checks) one
-// generator spec; materializes the instance only when `generate` is set,
-// so spec validation is free of generation cost. Both paths share every
+// Reads (and thereby key- and value-checks) one generator spec;
+// materializes the instance only when `generate` is set, so spec
+// validation is free of generation cost. Both paths share every
 // key read — the accepted-key set and value ranges cannot drift between
 // validation and loading.
 std::optional<Instance> Generate(const Spec& spec, std::string* error,
@@ -66,38 +66,13 @@ std::optional<Instance> Generate(const Spec& spec, std::string* error,
   SpecReader r(spec);
   std::optional<Instance> result;
   if (spec.generator == "poisson") {
-    const ArrivalKeys keys = ReadArrivalKeys(r);
-    PoissonConfig cfg;
-    cfg.num_inputs = cfg.num_outputs = static_cast<int>(keys.ports);
-    cfg.port_capacity = keys.cap;
-    cfg.mean_arrivals_per_round = keys.load * cfg.num_inputs;
-    cfg.num_rounds = static_cast<int>(keys.rounds);
-    cfg.max_demand = keys.dmax;
-    cfg.seed = static_cast<std::uint64_t>(r.GetInt("seed", 1));
+    const PoissonConfig cfg = api_spec::ReadPoissonKeys(r);
     if (generate && r.ok()) result = GeneratePoisson(cfg);
   } else if (spec.generator == "coflow") {
-    const ArrivalKeys keys = ReadArrivalKeys(r);
-    CoflowGenConfig cfg;
-    cfg.num_inputs = cfg.num_outputs = static_cast<int>(keys.ports);
-    cfg.port_capacity = keys.cap;
-    cfg.num_rounds = static_cast<int>(keys.rounds);
-    const long long min_width = r.GetInt("minwidth", 1);
-    const long long max_width = r.GetInt("width", 8);
-    r.Check(min_width >= 1 && min_width <= kMaxInt, "minwidth", kIntRange);
-    r.Check(max_width >= min_width && max_width <= kMaxInt, "width",
-            "in [minwidth, 2^31 - 1]");
-    cfg.min_width = static_cast<int>(min_width);
-    cfg.max_width = static_cast<int>(max_width);
-    cfg.width_skew = r.Get("skew", 1.0);
-    r.Check(cfg.width_skew > 0.0 && cfg.width_skew <= 1.0, "skew",
-            "in (0, 1]");
-    cfg.max_demand = keys.dmax;
-    cfg.seed = static_cast<std::uint64_t>(r.GetInt("seed", 1));
-    // `load` is the per-port flow load (poisson semantics); the coflow rate
-    // follows from the width distribution's mean.
+    double load = 0.0;
+    CoflowGenConfig cfg = api_spec::ReadCoflowKeys(r, &load);
     if (generate && r.ok()) {
-      cfg.mean_coflows_per_round =
-          keys.load * cfg.num_inputs / MeanCoflowWidth(cfg);
+      cfg.mean_coflows_per_round = api_spec::CoflowRate(cfg, load);
       result = GenerateCoflows(cfg);
     }
   } else if (spec.generator == "cdf") {
@@ -123,24 +98,39 @@ std::optional<Instance> Generate(const Spec& spec, std::string* error,
     }
     if (generate && r.ok()) result = GenerateTraffic(cfg);
   } else if (spec.generator == "shuffle") {
-    const int ports = static_cast<int>(r.GetInt("ports", 16));
-    const int wave = static_cast<int>(r.GetInt("wave", 4));
-    const int waves = static_cast<int>(r.GetInt("waves", 3));
-    const int period = static_cast<int>(r.GetInt("period", 4));
-    if (generate && r.ok()) result = ShuffleWaves(ports, wave, waves, period);
+    const long long ports = r.GetInt("ports", 16);
+    r.Check(ports >= 1 && ports <= kMaxInt, "ports", kIntRange);
+    const long long wave = r.GetInt("wave", 4);
+    r.Check(wave >= 1 && wave <= ports, "wave", "in [1, ports]");
+    const long long waves = r.GetInt("waves", 3);
+    r.Check(waves >= 1 && waves <= kMaxInt, "waves", kIntRange);
+    const long long period = r.GetInt("period", 4);
+    r.Check(period >= 1 && period <= kMaxInt, "period", kIntRange);
+    if (generate && r.ok()) {
+      result = ShuffleWaves(static_cast<int>(ports), static_cast<int>(wave),
+                            static_cast<int>(waves), static_cast<int>(period));
+    }
   } else if (spec.generator == "incast") {
-    const int ports = static_cast<int>(r.GetInt("ports", 16));
-    const int fanin = static_cast<int>(r.GetInt("fanin", ports - 1));
+    const long long ports = r.GetInt("ports", 16);
+    r.Check(ports >= 1 && ports <= kMaxInt, "ports", kIntRange);
+    const long long fanin = r.GetInt("fanin", ports - 1);
+    r.Check(fanin >= 0 && fanin <= ports, "fanin", "in [0, ports]");
     const auto release = static_cast<Round>(r.GetInt("release", 0));
     if (generate && r.ok()) {
-      Instance instance(SwitchSpec::Uniform(ports, ports, 1), {});
-      AddIncast(instance, /*sink=*/ports - 1, fanin, release);
+      const int n = static_cast<int>(ports);
+      Instance instance(SwitchSpec::Uniform(n, n, 1), {});
+      AddIncast(instance, /*sink=*/n - 1, static_cast<int>(fanin), release);
       result = std::move(instance);
     }
   } else if (spec.generator == "fig4a") {
-    const int phase = static_cast<int>(r.GetInt("phase", 6));
-    const int total = static_cast<int>(r.GetInt("total", 30));
-    if (generate && r.ok()) result = Fig4aInstance(phase, total);
+    const long long phase = r.GetInt("phase", 6);
+    r.Check(phase >= 1 && phase < kMaxInt, "phase", "in [1, 2^31 - 2]");
+    const long long total = r.GetInt("total", 30);
+    r.Check(total > phase && total <= kMaxInt, "total",
+            "in [phase + 1, 2^31 - 1]");
+    if (generate && r.ok()) {
+      result = Fig4aInstance(static_cast<int>(phase), static_cast<int>(total));
+    }
   } else if (spec.generator == "fig4b") {
     if (generate) result = Fig4bInstance();
   } else {
@@ -161,6 +151,48 @@ std::optional<Instance> Generate(const Spec& spec, std::string* error,
 }
 
 }  // namespace
+
+namespace api_spec {
+
+PoissonConfig ReadPoissonKeys(SpecReader& r) {
+  const ArrivalKeys keys = ReadArrivalKeys(r);
+  PoissonConfig cfg;
+  cfg.num_inputs = cfg.num_outputs = static_cast<int>(keys.ports);
+  cfg.port_capacity = keys.cap;
+  cfg.mean_arrivals_per_round = keys.load * cfg.num_inputs;
+  cfg.num_rounds = static_cast<int>(keys.rounds);
+  cfg.max_demand = keys.dmax;
+  cfg.seed = static_cast<std::uint64_t>(r.GetInt("seed", 1));
+  return cfg;
+}
+
+CoflowGenConfig ReadCoflowKeys(SpecReader& r, double* load) {
+  const ArrivalKeys keys = ReadArrivalKeys(r);
+  *load = keys.load;
+  CoflowGenConfig cfg;
+  cfg.num_inputs = cfg.num_outputs = static_cast<int>(keys.ports);
+  cfg.port_capacity = keys.cap;
+  cfg.num_rounds = static_cast<int>(keys.rounds);
+  const long long min_width = r.GetInt("minwidth", 1);
+  const long long max_width = r.GetInt("width", 8);
+  r.Check(min_width >= 1 && min_width <= kMaxInt, "minwidth", kIntRange);
+  r.Check(max_width >= min_width && max_width <= kMaxInt, "width",
+          "in [minwidth, 2^31 - 1]");
+  cfg.min_width = static_cast<int>(min_width);
+  cfg.max_width = static_cast<int>(max_width);
+  cfg.width_skew = r.Get("skew", 1.0);
+  r.Check(cfg.width_skew > 0.0 && cfg.width_skew <= 1.0, "skew",
+          "in (0, 1]");
+  cfg.max_demand = keys.dmax;
+  cfg.seed = static_cast<std::uint64_t>(r.GetInt("seed", 1));
+  return cfg;
+}
+
+double CoflowRate(const CoflowGenConfig& cfg, double load) {
+  return load * cfg.num_inputs / MeanCoflowWidth(cfg);
+}
+
+}  // namespace api_spec
 
 bool IsGeneratorSpec(const std::string& source) {
   const std::string name = source.substr(0, source.find(':'));

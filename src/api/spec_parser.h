@@ -14,6 +14,10 @@
 #include <vector>
 
 namespace flowsched {
+
+struct CoflowGenConfig;
+struct PoissonConfig;
+
 namespace api_spec {
 
 struct Spec {
@@ -113,6 +117,19 @@ class SpecReader {
   std::vector<std::string> used_;
   std::string error_;
 };
+
+// The poisson and coflow generators' keys, read and value-checked into a
+// generator config (defined in api/instance_source.cc). Each out-of-range
+// value is an error naming its key, and the config is meaningful only when
+// r.ok(). The batch loader and the stream factory both read specs through
+// these, so they accept exactly the same specs. `rounds` lands in
+// num_rounds (the stream factory takes `rounds=inf` out first).
+PoissonConfig ReadPoissonKeys(SpecReader& r);
+// *load is the per-port flow load (poisson semantics); CoflowRate turns it
+// into mean_coflows_per_round through the width distribution's mean,
+// which costs O(width) and so is left to the callers that generate.
+CoflowGenConfig ReadCoflowKeys(SpecReader& r, double* load);
+double CoflowRate(const CoflowGenConfig& cfg, double load);
 
 }  // namespace api_spec
 }  // namespace flowsched

@@ -44,16 +44,14 @@ class FileTraceSource : public StreamingFlowSource {
   TraceStreamSource trace_;
 };
 
-// Pulls the `rounds` key out before SpecReader sees it, so `rounds=inf`
-// parses (GetInt would reject "inf"). Returns the horizon: -1 unbounded.
-Round TakeHorizon(Spec& spec, long long fallback) {
+// Takes `rounds=inf` out of the spec before SpecReader sees it (GetInt
+// would reject "inf"); true when the stream is unbounded. A finite
+// `rounds` stays for the shared key readers, which range-check it.
+bool TakeUnboundedRounds(Spec& spec) {
   const auto it = spec.kv.find("rounds");
-  if (it == spec.kv.end()) return static_cast<Round>(fallback);
-  if (it->second == "inf") {
-    spec.kv.erase(it);
-    return -1;
-  }
-  return 0;  // Leave for SpecReader (validates the integer).
+  if (it == spec.kv.end() || it->second != "inf") return false;
+  spec.kv.erase(it);
+  return true;
 }
 
 }  // namespace
@@ -84,62 +82,35 @@ std::unique_ptr<StreamingFlowSource> MakeStreamSource(
                     "through InstanceStreamSource");
     return nullptr;
   }
-  const Round taken = TakeHorizon(spec, /*fallback=*/10);
+  const bool unbounded = TakeUnboundedRounds(spec);
   SpecReader r(spec);
   std::unique_ptr<StreamingFlowSource> result;
+  // An unbounded stream needs arrivals, or the end-of-stream scan would
+  // never terminate.
+  const auto needs_load = [&](double rate) {
+    if (!r.ok() || !unbounded || rate > 0.0) return false;
+    Fail(error, "rounds=inf needs load > 0");
+    return true;
+  };
   if (spec.generator == "poisson") {
-    PoissonConfig cfg;
-    cfg.num_inputs = cfg.num_outputs = static_cast<int>(r.GetInt("ports", 16));
-    cfg.port_capacity = r.GetInt("cap", 1);
-    const double load = r.Get("load", 1.0);
-    cfg.mean_arrivals_per_round = load * cfg.num_inputs;
-    const Round horizon =
-        taken != 0 ? taken : static_cast<Round>(r.GetInt("rounds", 10));
-    cfg.num_rounds = 1;  // Unused on the streaming path.
-    cfg.max_demand = r.GetInt("dmax", 1);
-    cfg.seed = static_cast<std::uint64_t>(r.GetInt("seed", 1));
+    PoissonConfig cfg = api_spec::ReadPoissonKeys(r);
     r.CheckUnknown();
-    if (r.ok() && horizon < 0 && load <= 0.0) {
-      Fail(error, "rounds=inf needs load > 0");
-      return nullptr;
-    }
-    if (r.ok() && cfg.num_inputs > 0 && cfg.port_capacity >= 1 &&
-        load >= 0.0 && cfg.max_demand >= 1) {
+    if (needs_load(cfg.mean_arrivals_per_round)) return nullptr;
+    if (r.ok()) {
+      const Round horizon = unbounded ? -1 : cfg.num_rounds;
+      cfg.num_rounds = 1;  // Unused on the streaming path.
       result = std::make_unique<PoissonStreamSource>(cfg, horizon);
-    } else if (r.ok()) {
-      Fail(error, "spec values out of range (need ports>0, cap>=1, "
-                  "load>=0, dmax>=1)");
-      return nullptr;
     }
   } else if (spec.generator == "coflow") {
-    CoflowGenConfig cfg;
-    cfg.num_inputs = cfg.num_outputs = static_cast<int>(r.GetInt("ports", 16));
-    cfg.port_capacity = r.GetInt("cap", 1);
-    const Round horizon =
-        taken != 0 ? taken : static_cast<Round>(r.GetInt("rounds", 10));
-    cfg.num_rounds = 1;  // Unused on the streaming path.
-    cfg.min_width = static_cast<int>(r.GetInt("minwidth", 1));
-    cfg.max_width = static_cast<int>(r.GetInt("width", 8));
-    cfg.width_skew = r.Get("skew", 1.0);
-    cfg.max_demand = r.GetInt("dmax", 1);
-    cfg.seed = static_cast<std::uint64_t>(r.GetInt("seed", 1));
-    const double load = r.Get("load", 1.0);
+    double load = 0.0;
+    CoflowGenConfig cfg = api_spec::ReadCoflowKeys(r, &load);
     r.CheckUnknown();
-    if (r.ok() && horizon < 0 && load <= 0.0) {
-      Fail(error, "rounds=inf needs load > 0");
-      return nullptr;
-    }
-    if (r.ok() && cfg.num_inputs > 0 && cfg.port_capacity >= 1 &&
-        load >= 0.0 && cfg.max_demand >= 1 && cfg.min_width >= 1 &&
-        cfg.max_width >= cfg.min_width && cfg.width_skew > 0.0 &&
-        cfg.width_skew <= 1.0) {
-      cfg.mean_coflows_per_round =
-          load * cfg.num_inputs / MeanCoflowWidth(cfg);
+    if (needs_load(load)) return nullptr;
+    if (r.ok()) {
+      const Round horizon = unbounded ? -1 : cfg.num_rounds;
+      cfg.num_rounds = 1;  // Unused on the streaming path.
+      cfg.mean_coflows_per_round = api_spec::CoflowRate(cfg, load);
       result = std::make_unique<CoflowStreamSource>(cfg, horizon);
-    } else if (r.ok()) {
-      Fail(error, "spec values out of range (need ports>0, cap>=1, "
-                  "load>=0, dmax>=1, 1<=minwidth<=width, 0<skew<=1)");
-      return nullptr;
     }
   } else {
     // cdf: shares key reading with the batch loader (api/traffic_spec.h),
@@ -148,17 +119,14 @@ std::unique_ptr<StreamingFlowSource> MakeStreamSource(
     std::string traffic_error;
     const bool traffic_ok = api_spec::ReadTrafficSpec(r, &cfg, &traffic_error);
     const Round horizon =
-        taken != 0 ? taken : static_cast<Round>(r.GetInt("rounds", 10));
+        unbounded ? -1 : static_cast<Round>(r.GetInt("rounds", 10));
     r.CheckUnknown();
     if (!traffic_ok) {
       Fail(error, r.ok() ? traffic_error
                          : traffic_error + "; " + r.error());
       return nullptr;
     }
-    if (r.ok() && horizon < 0 && cfg.load <= 0.0) {
-      Fail(error, "rounds=inf needs load > 0");
-      return nullptr;
-    }
+    if (needs_load(cfg.load)) return nullptr;
     if (r.ok()) {
       cfg.num_rounds = 1;  // Unused on the streaming path.
       result = std::make_unique<TrafficStreamSource>(cfg, horizon);

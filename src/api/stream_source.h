@@ -3,9 +3,10 @@
 // stream.
 //
 // Supported sources:
-//   poisson / coflow generator specs with the same keys LoadInstance
-//     accepts, plus `rounds=inf` for an unbounded stream (which then
-//     requires load > 0, or the end-of-stream scan would never terminate);
+//   poisson / coflow generator specs, read through the same key and value
+//     checks as LoadInstance (api/spec_parser.h), plus `rounds=inf` for an
+//     unbounded stream (which then requires load > 0, or the end-of-stream
+//     scan would never terminate);
 //   instance-CSV file paths — streamed row by row (rows must be sorted by
 //     release; generator-written traces are).
 //

@@ -5,7 +5,8 @@
 // assignment (every flow in exactly one active round) whose per-(port,round)
 // load exceeds the capacity by at most an additive term. In place of Karp
 // et al.'s procedure we implement an iterative LP-relaxation rounder
-// (bench/bench_rounding.cc measures its violations against the paper's
+// (GroupRoundingPropertyTest and the theorem3-dmax grid of
+// campaigns/theorems.json measure its violations against the paper's
 // bound): re-solve for a vertex, permanently fix (numerically) integral
 // variables, and when a vertex fixes nothing, relax one capacity row —
 // first to c_p + (2*dmax - 1) (the paper's bound), then, only if still

@@ -32,6 +32,7 @@ bool Reported(const CellAggregate& c, OutcomeGroup group,
     case OutcomeGroup::kCoflow: return c.num_coflows > 0;
     case OutcomeGroup::kFabric: return c.shards > 0;
     case OutcomeGroup::kScenario: return c.scenario_n > 0;
+    case OutcomeGroup::kBound: return c.lower_bound.count() > 0;
     case OutcomeGroup::kTiming: return include_timing;
     default: return true;
   }
@@ -158,18 +159,28 @@ void Aggregator::WriteJson(std::ostream& out, const SweepSpec& spec, int jobs,
 void Aggregator::WriteCsv(std::ostream& out, bool include_timing) const {
   // Counters, then five statistics columns per distribution; coflow,
   // fabric and robustness columns are always present (zeros for cells that
-  // carry none) so the header is independent of which solvers ran. Timing
-  // contributes only its means.
+  // carry none) so the header is independent of which solvers ran. The
+  // lower-bound columns appear only when some cell carries a bound, so
+  // grids without an offline solver keep their header. Timing contributes
+  // only its means.
   const auto fields = OutcomeFields();
   const auto timing = [](const OutcomeField& f) {
     return f.group == OutcomeGroup::kTiming;
+  };
+  const bool any_bound =
+      std::any_of(cells_.begin(), cells_.end(), [](const CellAggregate& c) {
+        return Reported(c, OutcomeGroup::kBound, false);
+      });
+  const auto stats_column = [&](const OutcomeField& f) {
+    return f.fold.kind == CellFold::kStats && !timing(f) &&
+           (any_bound || f.group != OutcomeGroup::kBound);
   };
   out << "solver,instance,load,ports,rounds,shards,dist,scenario,n,failures";
   for (const OutcomeField& f : fields) {
     if (f.IsCounter()) out << "," << f.CellKey();
   }
   for (const OutcomeField& f : fields) {
-    if (f.fold.kind != CellFold::kStats || timing(f)) continue;
+    if (!stats_column(f)) continue;
     const char* m = f.CellKey();
     out << "," << m << "_mean," << m << "_stddev," << m << "_min," << m
         << "_max," << m << "_ci95";
@@ -203,7 +214,7 @@ void Aggregator::WriteCsv(std::ostream& out, bool include_timing) const {
       if (f.IsCounter()) out << "," << c.*f.fold.counter;
     }
     for (const OutcomeField& f : fields) {
-      if (f.fold.kind != CellFold::kStats || timing(f)) continue;
+      if (!stats_column(f)) continue;
       out << ",";
       WriteCsvStats(out, c.*f.fold.stats);
     }

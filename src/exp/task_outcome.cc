@@ -52,6 +52,11 @@ constexpr OutcomeField kFields[] = {
      Stats(&C::response_inflation)},
     {"migrated_flows", kScenario, &T::migrated_flows,
      Stats(&C::migrated_flows)},
+    {"lower_bound", kBound, &T::lower_bound, Stats(&C::lower_bound)},
+    {"approx_ratio", kBound, &T::approx_ratio, Stats(&C::approx_ratio)},
+    {"max_window_overload", kBound, &T::max_window_overload,
+     Stats(&C::max_window_overload)},
+    {"max_violation", kBound, &T::max_violation, Stats(&C::max_violation)},
     {"wall_seconds", kTiming, &T::wall_seconds, Stats(&C::wall_seconds)},
     {"rounds_per_sec", kTiming, &T::rounds_per_sec,
      Stats(&C::rounds_per_sec)},
@@ -67,7 +72,7 @@ const char* GroupMarker(OutcomeGroup group) {
 }
 
 bool IsOptional(OutcomeGroup group) {
-  return group == kCoflow || group == kFabric || group == kScenario;
+  return group != kAlways && group != kTiming;
 }
 
 }  // namespace
@@ -79,6 +84,7 @@ bool CarriesGroup(const TaskOutcome& outcome, OutcomeGroup group) {
     case kCoflow: return outcome.num_coflows > 0;
     case kFabric: return outcome.shards > 0;
     case kScenario: return outcome.has_scenario;
+    case kBound: return outcome.has_lower_bound;
     default: return true;
   }
 }
@@ -90,11 +96,16 @@ TaskOutcome OutcomeFromSolveReport(const SolveReport& report) {
   o.wall_seconds = report.wall_seconds;
   if (!report.ok) return o;
   const auto& diagnostics = report.diagnostics;
+  o.has_scenario = diagnostics.contains(GroupMarker(kScenario));
+  o.has_lower_bound = report.lower_bound.has_value();
+  // A group's diagnostics are copied when the solver emitted the group:
+  // its marker diagnostic, or for kBound a proven lower bound.
+  const auto emitted = [&](OutcomeGroup group) {
+    if (group == kBound) return o.has_lower_bound;
+    return !IsOptional(group) || diagnostics.contains(GroupMarker(group));
+  };
   for (const OutcomeField& f : kFields) {
-    if (f.group == kTiming) continue;
-    if (IsOptional(f.group) && !diagnostics.contains(GroupMarker(f.group))) {
-      continue;
-    }
+    if (f.group == kTiming || !emitted(f.group)) continue;
     const auto it = diagnostics.find(f.key);
     if (it == diagnostics.end()) continue;
     if (f.member.as_int != nullptr) {
@@ -103,7 +114,10 @@ TaskOutcome OutcomeFromSolveReport(const SolveReport& report) {
       o.*f.member.as_double = it->second;
     }
   }
-  o.has_scenario = diagnostics.contains(GroupMarker(kScenario));
+  if (o.has_lower_bound) {
+    o.lower_bound = *report.lower_bound;
+    o.approx_ratio = report.ApproxRatio();
+  }
   const ScheduleMetrics& m = report.metrics;
   o.total_response = m.total_response;
   o.avg_response = m.avg_response;
@@ -169,6 +183,7 @@ TaskOutcome TaskOutcomeFromJson(const JsonValue& doc) {
     }
   }
   o.has_scenario = doc.Find(GroupMarker(kScenario)) != nullptr;
+  o.has_lower_bound = doc.Find(GroupMarker(kBound)) != nullptr;
   return o;
 }
 

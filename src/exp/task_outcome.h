@@ -12,7 +12,10 @@
 // Groups: kAlways fields are on every successful outcome; a kCoflow,
 // kFabric or kScenario field only when the solver emitted that group,
 // which its first row marks (num_coflows > 0, shards > 0, and the
-// scenario block for has_scenario). kTiming fields are wall clock: records
+// scenario block for has_scenario); kBound fields only when the solver
+// proved a lower bound (SolveReport::lower_bound, has_lower_bound), so
+// the LP line of Figs 6/7 travels with the offline solvers' records and
+// every other record is unchanged. kTiming fields are wall clock: records
 // carry them, but they are the one schedule-dependent part, so reports
 // drop them unless asked for timing.
 #ifndef FLOWSCHED_EXP_TASK_OUTCOME_H_
@@ -69,6 +72,15 @@ struct TaskOutcome {
   long long recovery_drain_rounds = 0;
   double response_inflation = 0.0;
   long long migrated_flows = 0;  // MIGRATE re-homings (0 without MIGRATE).
+  // The solver's proven lower bound on its objective (LP(0) for
+  // art.theorem1, rho* for mrt.theorem3, the optimum for the exact
+  // solvers), objective / lower_bound, and the rounding audits of the two
+  // theorems; has_lower_bound == false for solvers that prove none.
+  bool has_lower_bound = false;
+  double lower_bound = 0.0;
+  double approx_ratio = 0.0;
+  long long max_window_overload = 0;
+  long long max_violation = 0;
   double wall_seconds = 0.0;   // Timing — excluded from determinism checks.
   double rounds_per_sec = 0.0;
 };
@@ -109,11 +121,17 @@ struct CellAggregate {
   RunningStats recovery_drain_rounds;
   RunningStats response_inflation;
   RunningStats migrated_flows;
+  RunningStats lower_bound;
+  RunningStats approx_ratio;
+  RunningStats max_window_overload;
+  RunningStats max_violation;
   RunningStats wall_seconds;  // Timing (schedule-dependent).
   RunningStats rounds_per_sec;
 };
 
-enum class OutcomeGroup { kAlways, kCoflow, kFabric, kScenario, kTiming };
+enum class OutcomeGroup {
+  kAlways, kCoflow, kFabric, kScenario, kBound, kTiming
+};
 
 // How the Aggregator folds one field over a cell's tasks.
 struct CellFold {
@@ -159,8 +177,8 @@ bool CarriesGroup(const TaskOutcome& outcome, OutcomeGroup group);
 
 // Converts one SolveReport into its TaskOutcome. Each field copies the
 // solver diagnostic of the same name; the response metrics, num_flows,
-// rounds (the "rounds_simulated" diagnostic) and the timing come from the
-// report itself.
+// rounds (the "rounds_simulated" diagnostic), lower_bound, approx_ratio
+// and the timing come from the report itself.
 TaskOutcome OutcomeFromSolveReport(const SolveReport& report);
 
 // Writes one task's record as a single JSON line: task identity, then the

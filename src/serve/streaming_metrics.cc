@@ -1,22 +1,9 @@
 #include "serve/streaming_metrics.h"
 
-#include <cstdio>
+#include "util/json.h"
 
 namespace flowsched {
 namespace {
-
-void AppendNumber(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  out += buf;
-}
-
-void AppendField(std::string& out, const char* key, double v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  AppendNumber(out, v);
-}
 
 void AppendDistribution(std::string& out, const char* prefix,
                         const StreamingDistribution& d) {
@@ -25,7 +12,7 @@ void AppendDistribution(std::string& out, const char* prefix,
   auto field = [&](const char* suffix, double v) {
     key.resize(base);
     key += suffix;
-    AppendField(out, key.c_str(), v);
+    AppendJsonNumber(out, key.c_str(), v);
   };
   field("_count", static_cast<double>(d.total().count()));
   field("_mean", d.total().mean());
@@ -49,9 +36,9 @@ void StreamingDistribution::Add(double x) {
 }
 
 std::string StreamingMetrics::StatsLine(Round t, std::size_t backlog) {
-  std::string out = "{\"round\":";
-  AppendNumber(out, static_cast<double>(t));
-  AppendField(out, "backlog", static_cast<double>(backlog));
+  std::string out = "{";
+  AppendJsonNumber(out, "round", static_cast<double>(t));
+  AppendJsonNumber(out, "backlog", static_cast<double>(backlog));
   AppendDistribution(out, "resp", response_);
   AppendDistribution(out, "cct", cct_);
   out += '}';

@@ -1,7 +1,6 @@
 #include "serve/streaming_simulator.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 
 #include "util/check.h"
@@ -10,22 +9,8 @@
 namespace flowsched {
 namespace {
 
-void AppendKey(std::string& out, const char* key) {
-  if (out.back() != '{') out += ',';
-  out += '"';
-  out += key;
-  out += "\":";
-}
-
-void AppendField(std::string& out, const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  AppendKey(out, key);
-  out += buf;
-}
-
 void AppendBool(std::string& out, const char* key, bool v) {
-  AppendKey(out, key);
+  AppendJsonKey(out, key);
   out += v ? "true" : "false";
 }
 
@@ -33,28 +18,30 @@ void AppendBool(std::string& out, const char* key, bool v) {
 
 std::string StreamingSummary::ToJson() const {
   std::string out = "{";
-  AppendField(out, "flows", static_cast<double>(flows));
-  AppendField(out, "arrived", static_cast<double>(arrived));
-  AppendField(out, "rounds", static_cast<double>(rounds));
-  AppendField(out, "total_response", total_response);
-  AppendField(out, "mean_response", mean_response);
-  AppendField(out, "max_response", max_response);
-  AppendField(out, "stddev_response", stddev_response);
-  AppendField(out, "p50_response", p50_response);
-  AppendField(out, "p95_response", p95_response);
-  AppendField(out, "p99_response", p99_response);
-  AppendField(out, "peak_backlog", peak_backlog);
-  AppendField(out, "avg_port_utilization", avg_port_utilization);
-  AppendField(out, "coflows", static_cast<double>(coflows));
-  AppendField(out, "total_cct", total_cct);
-  AppendField(out, "mean_cct", mean_cct);
-  AppendField(out, "max_cct", max_cct);
-  AppendField(out, "downtime_rounds", static_cast<double>(downtime_rounds));
-  AppendField(out, "migrated_flows", static_cast<double>(migrated_flows));
+  AppendJsonNumber(out, "flows", static_cast<double>(flows));
+  AppendJsonNumber(out, "arrived", static_cast<double>(arrived));
+  AppendJsonNumber(out, "rounds", static_cast<double>(rounds));
+  AppendJsonNumber(out, "total_response", total_response);
+  AppendJsonNumber(out, "mean_response", mean_response);
+  AppendJsonNumber(out, "max_response", max_response);
+  AppendJsonNumber(out, "stddev_response", stddev_response);
+  AppendJsonNumber(out, "p50_response", p50_response);
+  AppendJsonNumber(out, "p95_response", p95_response);
+  AppendJsonNumber(out, "p99_response", p99_response);
+  AppendJsonNumber(out, "peak_backlog", peak_backlog);
+  AppendJsonNumber(out, "avg_port_utilization", avg_port_utilization);
+  AppendJsonNumber(out, "coflows", static_cast<double>(coflows));
+  AppendJsonNumber(out, "total_cct", total_cct);
+  AppendJsonNumber(out, "mean_cct", mean_cct);
+  AppendJsonNumber(out, "max_cct", max_cct);
+  AppendJsonNumber(out, "downtime_rounds",
+                   static_cast<double>(downtime_rounds));
+  AppendJsonNumber(out, "migrated_flows",
+                   static_cast<double>(migrated_flows));
   AppendBool(out, "truncated", truncated);
   AppendBool(out, "source_error", source_error);
   if (!error.empty()) {
-    AppendKey(out, "error");
+    AppendJsonKey(out, "error");
     out += '"' + JsonEscape(error) + '"';
   }
   out += '}';

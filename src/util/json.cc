@@ -49,6 +49,20 @@ std::string JsonStr(const std::string& key, const std::string& value) {
   return "\"" + JsonEscape(key) + "\": \"" + JsonEscape(value) + "\"";
 }
 
+void AppendJsonKey(std::string& out, const char* key) {
+  if (out.back() != '{') out += ',';
+  out += '"';
+  out += key;
+  out += "\":";
+}
+
+void AppendJsonNumber(std::string& out, const char* key, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.10g", v);
+  AppendJsonKey(out, key);
+  out += buf;
+}
+
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (type != Type::kObject) return nullptr;
   for (const auto& [k, v] : members) {

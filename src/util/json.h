@@ -1,5 +1,6 @@
 // Minimal JSON emission helpers shared by the report writers
-// (flowsched_bench, the sweep Aggregator, provenance blocks).
+// (flowsched_bench, the sweep Aggregator, provenance blocks, the serve
+// STATS/DONE lines).
 //
 // Not a serialization framework: the report writers keep explicit control
 // over field order and layout (stable output is what makes BENCH_*.json and
@@ -25,6 +26,13 @@ std::string JsonNum(double v);
 
 // `"key": "escaped"` fragment (no trailing comma).
 std::string JsonStr(const std::string& key, const std::string& value);
+
+// Compact-JSON object writers for the serve wire lines (STATS, DONE):
+// AppendJsonKey appends `"key":` (key unescaped) to the object open in
+// `out`, after a comma unless the object is still empty; AppendJsonNumber
+// follows the key with v printed %.10g, the wire lines' number format.
+void AppendJsonKey(std::string& out, const char* key);
+void AppendJsonNumber(std::string& out, const char* key, double v);
 
 // A parsed JSON document. The campaign subsystem reads back its own
 // meta.json / outcome.json records (resume checks, collect/report), so

@@ -317,6 +317,14 @@ TEST(InstanceSourceTest, OutOfRangeGeneratorValuesAreNamedErrors) {
       {"coflow:load=-0.5", "load"},
       {"coflow:ports=-2", "ports"},
       {"fabric:shards=2,poisson:ports=8,load=-1", "load"},
+      {"shuffle:period=0", "period"},
+      {"shuffle:ports=0", "ports"},
+      {"shuffle:ports=4,wave=5", "wave"},
+      {"incast:ports=0", "ports"},
+      {"incast:ports=4,fanin=9", "fanin"},
+      {"fig4a:phase=0", "phase"},
+      {"fig4a:total=0", "total"},
+      {"fig4a:phase=6,total=6", "total"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.spec);
@@ -333,7 +341,9 @@ TEST(InstanceSourceTest, OutOfRangeGeneratorValuesAreNamedErrors) {
   for (const char* spec :
        {"poisson:ports=1,load=0,rounds=1,cap=1,dmax=1",
         "coflow:ports=4,load=0,rounds=1,minwidth=2,width=2,skew=1",
-        "coflow:ports=4,rounds=3,skew=0.01"}) {
+        "coflow:ports=4,rounds=3,skew=0.01",
+        "shuffle:ports=4,wave=4,waves=1,period=1", "incast:ports=4,fanin=4",
+        "fig4a:phase=1,total=2"}) {
     std::string error;
     EXPECT_TRUE(LoadInstance(spec, &error).has_value()) << spec << ": "
                                                         << error;

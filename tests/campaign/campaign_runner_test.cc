@@ -292,6 +292,11 @@ TEST_F(CampaignRunnerTest, OutcomeJsonRoundTripsEveryField) {
   in.recovery_drain_rounds = 31;
   in.response_inflation = 1.4375;
   in.migrated_flows = 19;
+  in.has_lower_bound = true;
+  in.lower_bound = 180.5;
+  in.approx_ratio = 1.28125;
+  in.max_window_overload = 2;
+  in.max_violation = 1;
   in.wall_seconds = 0.015625;
   in.rounds_per_sec = 3584;
 
@@ -335,6 +340,11 @@ TEST_F(CampaignRunnerTest, OutcomeJsonRoundTripsEveryField) {
   EXPECT_EQ(out.recovery_drain_rounds, in.recovery_drain_rounds);
   EXPECT_EQ(out.response_inflation, in.response_inflation);
   EXPECT_EQ(out.migrated_flows, in.migrated_flows);
+  EXPECT_EQ(out.has_lower_bound, in.has_lower_bound);
+  EXPECT_EQ(out.lower_bound, in.lower_bound);
+  EXPECT_EQ(out.approx_ratio, in.approx_ratio);
+  EXPECT_EQ(out.max_window_overload, in.max_window_overload);
+  EXPECT_EQ(out.max_violation, in.max_violation);
   EXPECT_EQ(out.wall_seconds, in.wall_seconds);
   EXPECT_EQ(out.rounds_per_sec, in.rounds_per_sec);
 }

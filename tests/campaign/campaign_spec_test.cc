@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
+
+#include "api/registry.h"
+#include "campaign/campaign_plan.h"
 
 namespace flowsched {
 namespace {
@@ -110,25 +115,37 @@ TEST(ParseCampaignSpecTest, RejectsBadInput) {
 }
 
 TEST(ParseCampaignSpecTest, CheckedInSpecsStayParseable) {
-  // The shipped campaign files are part of the public contract; their
-  // grammar is revalidated here so a spec-format change cannot silently
-  // orphan them. (Expansion is exercised in campaign_plan_test.cc.)
-  for (const char* name :
-       {"fig4", "fig6", "fig7", "core", "ci-smoke"}) {
-    SCOPED_TRACE(name);
-    // Tests run from the build tree; campaigns/ sits in the source root.
-    const std::string path = std::string(FLOWSCHED_SOURCE_DIR) +
-                             "/campaigns/" + name + ".json";
+  // The shipped campaign files are part of the public contract: every
+  // campaigns/*.json must parse, carry its file name, and expand every
+  // grid against the builtin registry (solver names, axes, and each
+  // generator template's keys and values), so a spec-format or registry
+  // change cannot silently orphan one. Tests run from the build tree;
+  // campaigns/ sits in the source root.
+  const std::filesystem::path dir =
+      std::filesystem::path(FLOWSCHED_SOURCE_DIR) / "campaigns";
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  ASSERT_GE(files.size(), 8u) << dir;
+  for (const auto& path : files) {
+    SCOPED_TRACE(path.string());
     std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << path;
+    ASSERT_TRUE(in.good());
     std::ostringstream buffer;
     buffer << in.rdbuf();
     CampaignSpec spec;
     std::string error;
-    EXPECT_TRUE(ParseCampaignSpec(buffer.str(), spec, &error))
-        << path << ": " << error;
-    EXPECT_EQ(spec.name, name);
+    ASSERT_TRUE(ParseCampaignSpec(buffer.str(), spec, &error)) << error;
+    EXPECT_EQ(spec.name, path.stem().string());
     EXPECT_FALSE(spec.grids.empty());
+    CampaignPlan plan;
+    ASSERT_TRUE(ExpandCampaign(spec, SolverRegistry::Global(), plan, &error))
+        << error;
+    EXPECT_EQ(plan.grids.size(), spec.grids.size());
+    for (const CampaignGrid& grid : plan.grids) {
+      EXPECT_FALSE(grid.plan.tasks.empty()) << grid.spec.name;
+    }
   }
 }
 

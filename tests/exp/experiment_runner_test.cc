@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "api/instance_source.h"
+#include "api/registry.h"
 #include "exp/aggregator.h"
 
 namespace flowsched {
@@ -206,6 +208,64 @@ TEST(ExperimentRunnerTest, JsonlStreamsOneLinePerTask) {
             run.plan.tasks.size());
   EXPECT_EQ(last_done, static_cast<int>(run.plan.tasks.size()));
   EXPECT_EQ(last_total, last_done);
+}
+
+
+// Solvers that prove a lower bound carry it, its ratio and their rounding
+// audit into the record and the cell; every other record and the CSV
+// header of a grid without such a solver are as before.
+TEST(ExperimentRunnerTest, LowerBoundsTravelOnlyWithSolversThatProveOne) {
+  SweepSpec spec;
+  spec.name = "bound";
+  spec.solvers = {"art.theorem1", "mrt.theorem3", "online.fifo"};
+  spec.instances = {"poisson:ports=4,load=1.0,rounds=4,seed={seed}"};
+  spec.seeds = {1, 2};
+  std::ostringstream jsonl;
+  RunnerOptions opt;
+  opt.jsonl = &jsonl;
+  SweepRun run;
+  std::string error;
+  ASSERT_TRUE(RunSweep(spec, opt, run, &error)) << error;
+  ASSERT_EQ(run.failures, 0);
+  for (const SweepTask& task : run.plan.tasks) {
+    const TaskOutcome& o = run.outcomes[task.index];
+    const std::string& solver = run.plan.cells[task.cell].solver;
+    SCOPED_TRACE(solver);
+    const SolveReport report = SolverRegistry::Global().Solve(
+        solver, *LoadInstance(task.instance_spec), {});
+    ASSERT_EQ(o.has_lower_bound, report.lower_bound.has_value());
+    if (!o.has_lower_bound) continue;
+    EXPECT_GT(o.lower_bound, 0.0);
+    EXPECT_EQ(o.lower_bound, *report.lower_bound);
+    EXPECT_EQ(o.approx_ratio, report.ApproxRatio());
+    const char* audit = solver == "art.theorem1" ? "max_window_overload"
+                                                 : "max_violation";
+    EXPECT_EQ(solver == "art.theorem1" ? o.max_window_overload
+                                       : o.max_violation,
+              static_cast<long long>(report.diagnostics.at(audit)));
+  }
+  std::istringstream lines(jsonl.str());
+  for (std::string line; std::getline(lines, line);) {
+    const bool online = line.find("online.fifo") != std::string::npos;
+    EXPECT_EQ(line.find("\"lower_bound\"") == std::string::npos, online);
+    EXPECT_EQ(line.find("\"approx_ratio\"") == std::string::npos, online);
+  }
+
+  Aggregator agg(run.plan);
+  agg.AddRun(run);
+  std::ostringstream csv;
+  agg.WriteCsv(csv, /*include_timing=*/false);
+  EXPECT_NE(csv.str().find(",lower_bound_mean,"), std::string::npos);
+  EXPECT_NE(csv.str().find(",approx_ratio_mean,"), std::string::npos);
+
+  spec.solvers = {"online.fifo"};
+  SweepRun online;
+  ASSERT_TRUE(RunSweep(spec, RunnerOptions{}, online, &error)) << error;
+  Aggregator online_agg(online.plan);
+  online_agg.AddRun(online);
+  std::ostringstream online_csv;
+  online_agg.WriteCsv(online_csv, /*include_timing=*/false);
+  EXPECT_EQ(online_csv.str().find("lower_bound"), std::string::npos);
 }
 
 }  // namespace

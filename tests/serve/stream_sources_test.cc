@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "api/instance_source.h"
 #include "api/stream_source.h"
 #include "model/trace_io.h"
 #include "workload/coflow_gen.h"
@@ -184,6 +185,31 @@ TEST(MakeStreamSourceTest, InfiniteRoundsNeedPositiveLoad) {
   EXPECT_EQ(MakeStreamSource("poisson:ports=4,load=0,rounds=inf", &error),
             nullptr);
   EXPECT_NE(error.find("load > 0"), std::string::npos) << error;
+}
+
+// The stream factory reads poisson/coflow specs through the batch
+// loader's value checks, so a spec the batch loader rejects never streams
+// (these three used to run: as a 1-port switch, with no flows, normally).
+TEST(MakeStreamSourceTest, RejectsWhatTheBatchLoaderRejects) {
+  const struct {
+    const char* spec;
+    const char* key;
+  } cases[] = {
+      {"poisson:ports=4294967297,rounds=3", "ports"},
+      {"poisson:load=inf", "load"},
+      {"coflow:width=4294967297", "width"},
+      {"poisson:ports=4,rounds=-1", "rounds"},
+      {"coflow:ports=4,skew=2,rounds=inf", "skew"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.spec);
+    std::string error;
+    EXPECT_EQ(MakeStreamSource(c.spec, &error), nullptr);
+    EXPECT_NE(error.find(std::string(c.key) + " must be"), std::string::npos)
+        << error;
+    std::string batch_error;
+    EXPECT_FALSE(LoadInstance(c.spec, &batch_error).has_value());
+  }
 }
 
 TEST(MakeStreamSourceTest, RejectsBatchOnlyGenerators) {

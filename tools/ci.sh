@@ -30,6 +30,14 @@ for build_type in Debug Release; do
       2> "${build_dir}/sweep_err.txt" || rc=$?
   [[ "${rc}" == 2 ]] && grep -q 'load must be' "${build_dir}/sweep_err.txt" \
     || { echo "error: --loads=1,-1 did not fail cleanly" >&2; exit 1; }
+  for probe in 'shuffle:period=0 period' 'incast:ports=4,fanin=9 fanin'; do
+    set -- ${probe}
+    rc=0
+    "./${build_dir}/tools/flowsched_cli" --instance="$1" \
+        --solver=online.fifo 2> "${build_dir}/cli_err.txt" || rc=$?
+    [[ "${rc}" == 2 ]] && grep -q "$2 must be" "${build_dir}/cli_err.txt" \
+      || { echo "error: $1 did not fail cleanly" >&2; exit 1; }
+  done
   if [[ "${build_type}" == "Release" ]]; then
     # Docs job: docs/solvers.md must match the registry, and every relative
     # markdown link in README/docs must resolve.
@@ -157,14 +165,14 @@ done
 echo "=== Debug ASan/UBSan (all suites) ==="
 cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DFLOWSCHED_SANITIZE=address,undefined \
-    -DFLOWSCHED_BUILD_BENCHES=OFF -DFLOWSCHED_BUILD_EXAMPLES=OFF
+    -DFLOWSCHED_BUILD_EXAMPLES=OFF
 cmake --build build-ci-asan -j "$(nproc)"
 (cd build-ci-asan && ctest --output-on-failure -j "$(nproc)")
 
 echo "=== Debug TSan (all suites) ==="
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DFLOWSCHED_SANITIZE=thread \
-    -DFLOWSCHED_BUILD_BENCHES=OFF -DFLOWSCHED_BUILD_EXAMPLES=OFF
+    -DFLOWSCHED_BUILD_EXAMPLES=OFF
 cmake --build build-ci-tsan -j "$(nproc)"
 (cd build-ci-tsan && ctest --output-on-failure -j "$(nproc)")
 echo "CI OK"
