@@ -84,16 +84,10 @@ std::optional<Instance> Generate(const Spec& spec, std::string* error,
     std::string traffic_error;
     const bool traffic_ok =
         api_spec::ReadTrafficSpec(r, &cfg, &traffic_error);
-    cfg.num_rounds = static_cast<int>(r.GetInt("rounds", 10));
     if (!traffic_ok) {
       r.CheckUnknown();
       Fail(error, r.ok() ? traffic_error
                          : traffic_error + "; " + r.error());
-      return std::nullopt;
-    }
-    if (cfg.num_rounds < 1) {
-      Fail(error, "rounds must be >= 1, got " +
-                      std::to_string(cfg.num_rounds));
       return std::nullopt;
     }
     if (generate && r.ok()) result = GenerateTraffic(cfg);

@@ -64,9 +64,11 @@ struct SolveReport {
   CapacityAllowance allowance;
 
   // The solver's primary objective over `schedule` and, when the algorithm
-  // proves one, a lower bound on that objective for ANY schedule of the
-  // instance (LP(0) for art.*, rho* for mrt.theorem3, the optimum itself
-  // for exact solvers).
+  // proves one, a lower bound on that objective for any schedule of the
+  // instance on the unaugmented switch (LP(0) for art.*, rho* for
+  // mrt.theorem3, the optimum itself for exact solvers). art.theorem1 and
+  // mrt.theorem3 measure `objective` on a capacity-augmented schedule (see
+  // `allowance`), so their objective / lower_bound can fall below 1.
   std::string objective_name;  // "total_response" or "max_response".
   double objective = 0.0;
   std::optional<double> lower_bound;

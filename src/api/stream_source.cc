@@ -118,8 +118,6 @@ std::unique_ptr<StreamingFlowSource> MakeStreamSource(
     TrafficConfig cfg;
     std::string traffic_error;
     const bool traffic_ok = api_spec::ReadTrafficSpec(r, &cfg, &traffic_error);
-    const Round horizon =
-        unbounded ? -1 : static_cast<Round>(r.GetInt("rounds", 10));
     r.CheckUnknown();
     if (!traffic_ok) {
       Fail(error, r.ok() ? traffic_error
@@ -128,6 +126,7 @@ std::unique_ptr<StreamingFlowSource> MakeStreamSource(
     }
     if (needs_load(cfg.load)) return nullptr;
     if (r.ok()) {
+      const Round horizon = unbounded ? -1 : cfg.num_rounds;
       cfg.num_rounds = 1;  // Unused on the streaming path.
       result = std::make_unique<TrafficStreamSource>(cfg, horizon);
     }

@@ -1,5 +1,7 @@
 #include "api/traffic_spec.h"
 
+#include <limits>
+
 #include "traffic/builtin_cdfs.h"
 #include "traffic/size_cdf.h"
 
@@ -25,6 +27,10 @@ bool ReadTrafficSpec(SpecReader& r, TrafficConfig* config,
   config->max_width = static_cast<int>(r.GetInt("width", 0));
   config->width_skew = r.Get("skew", 1.0);
   config->seed = static_cast<std::uint64_t>(r.GetInt("seed", 1));
+  const long long rounds = r.GetInt("rounds", 10);
+  r.Check(rounds >= 1 && rounds <= std::numeric_limits<int>::max(), "rounds",
+          "in [1, 2^31 - 1]");
+  config->num_rounds = static_cast<int>(rounds);
 
   const std::string dist = r.GetString("dist", "");
   const std::string file = r.GetString("file", "");

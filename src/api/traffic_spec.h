@@ -12,14 +12,15 @@
 namespace flowsched {
 namespace api_spec {
 
-// Reads every `cdf:` key except "rounds" (batch wants an integer, streaming
-// also accepts "inf" — each caller reads it on its own terms) into *config,
-// resolving the size distribution from `dist=` (a builtin name, default
-// websearch) or `file=` (an HPCC-format CDF file). The CDF parses even on
-// validation-only passes, so a bad file or name fails before any run.
+// Reads every `cdf:` key into *config (the stream factory takes
+// `rounds=inf` out of the spec first), resolving the size distribution
+// from `dist=` (a builtin name, default websearch) or `file=` (an
+// HPCC-format CDF file). The CDF parses even on validation-only passes,
+// so a bad file or name fails before any run.
 // Returns false with *error set on a bad distribution or out-of-range
-// values; key-level errors (unparsable values, unknown keys) accumulate in
-// the reader as usual and remain the caller's to check.
+// values; key-level errors (unparsable values, unknown keys, `rounds` out
+// of range) accumulate in the reader as usual and remain the caller's to
+// check.
 bool ReadTrafficSpec(SpecReader& r, TrafficConfig* config,
                      std::string* error);
 

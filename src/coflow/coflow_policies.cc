@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "util/check.h"
+#include "util/stable_sort.h"
 
 namespace flowsched {
 
@@ -161,7 +162,7 @@ void CoflowGreedyPolicyBase::SelectFlowsInto(
 
   order_.resize(pending.size());
   std::iota(order_.begin(), order_.end(), 0);
-  std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
+  StableSort(order_, sort_scratch_, [&](int a, int b) {
     const int ra = rank_[stats_.slot_of_pending(a)];
     const int rb = rank_[stats_.slot_of_pending(b)];
     if (ra != rb) return ra < rb;

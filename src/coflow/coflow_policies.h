@@ -122,6 +122,7 @@ class CoflowGreedyPolicyBase : public SchedulingPolicy {
   std::vector<int> slot_order_;
   std::vector<int> rank_;  // Per slot; valid for touched slots.
   std::vector<int> order_;
+  std::vector<int> sort_scratch_;
   std::vector<Capacity> in_res_;
   std::vector<Capacity> out_res_;
 };

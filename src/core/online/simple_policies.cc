@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "util/stable_sort.h"
+
 namespace flowsched {
 
 void GreedyPackPolicyBase::Pack(const SwitchSpec& sw,
@@ -26,7 +28,7 @@ void FifoGreedyPolicy::SelectFlowsInto(const SwitchSpec& sw, Round /*t*/,
   picked->clear();
   order_.resize(pending.size());
   std::iota(order_.begin(), order_.end(), 0);
-  std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
+  StableSort(order_, sort_scratch_, [&](int a, int b) {
     if (pending[a].release != pending[b].release) {
       return pending[a].release < pending[b].release;
     }

@@ -31,6 +31,9 @@ class FifoGreedyPolicy : public GreedyPackPolicyBase {
   void SelectFlowsInto(const SwitchSpec& sw, Round t,
                        std::span<const PendingFlow> pending,
                        std::vector<int>* picked) override;
+
+ private:
+  std::vector<int> sort_scratch_;
 };
 
 // Greedy packing in uniformly random order; a sanity floor for experiments.

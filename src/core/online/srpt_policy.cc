@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "util/check.h"
+#include "util/stable_sort.h"
 
 namespace flowsched {
 
@@ -14,7 +15,7 @@ void SrptPolicy::SelectFlowsInto(const SwitchSpec& sw, Round /*t*/,
   // Greedy pack by (demand, release, id): cheapest flows first, FIFO ties.
   order_.resize(pending.size());
   std::iota(order_.begin(), order_.end(), 0);
-  std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
+  StableSort(order_, sort_scratch_, [&](int a, int b) {
     if (pending[a].demand != pending[b].demand) {
       return pending[a].demand < pending[b].demand;
     }

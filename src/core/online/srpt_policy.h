@@ -22,6 +22,7 @@ class SrptPolicy : public SchedulingPolicy {
 
  private:
   std::vector<int> order_;
+  std::vector<int> sort_scratch_;
   std::vector<Capacity> in_res_;
   std::vector<Capacity> out_res_;
 };

@@ -46,7 +46,7 @@ class Aggregator {
 
   const std::vector<CellAggregate>& cells() const { return cells_; }
 
-  // Full report, BENCH_*.json-style: spec echo, provenance block, per-cell
+  // Full report (SWEEP_*.json): spec echo, provenance block, per-cell
   // statistics, totals. `jobs`/`wall_seconds` describe the producing run
   // and are only emitted when include_timing is set.
   void WriteJson(std::ostream& out, const SweepSpec& spec, int jobs,

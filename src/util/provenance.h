@@ -1,7 +1,7 @@
-// Build and host provenance embedded into benchmark / sweep reports so
-// BENCH_*.json and SWEEP_*.json artifacts are comparable across machines:
-// the same numbers mean nothing without knowing which commit, compiler,
-// flags, and box produced them.
+// Build and host provenance embedded into sweep reports and campaign
+// records so SWEEP_*.json and meta.json artifacts are comparable across
+// machines: the same numbers mean nothing without knowing which commit,
+// compiler, flags, and box produced them.
 //
 // The git SHA and compiler flags are captured at CMake configure time
 // (see the set_source_files_properties block in CMakeLists.txt) and baked

@@ -325,6 +325,8 @@ TEST(InstanceSourceTest, OutOfRangeGeneratorValuesAreNamedErrors) {
       {"fig4a:phase=0", "phase"},
       {"fig4a:total=0", "total"},
       {"fig4a:phase=6,total=6", "total"},
+      {"cdf:rounds=0", "rounds"},
+      {"cdf:dist=websearch,ports=8,rounds=4294967297", "rounds"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.spec);
@@ -343,7 +345,7 @@ TEST(InstanceSourceTest, OutOfRangeGeneratorValuesAreNamedErrors) {
         "coflow:ports=4,load=0,rounds=1,minwidth=2,width=2,skew=1",
         "coflow:ports=4,rounds=3,skew=0.01",
         "shuffle:ports=4,wave=4,waves=1,period=1", "incast:ports=4,fanin=4",
-        "fig4a:phase=1,total=2"}) {
+        "fig4a:phase=1,total=2", "cdf:ports=4,rounds=1"}) {
     std::string error;
     EXPECT_TRUE(LoadInstance(spec, &error).has_value()) << spec << ": "
                                                         << error;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "api/instance_source.h"
 #include "core/online/policy.h"
 
 namespace flowsched {
@@ -201,6 +202,38 @@ TEST(SolverRegistryTest, NamesMatchingExpandsGlobs) {
   EXPECT_TRUE(registry.NamesMatching("online.x*").empty());
   // "*" matches everything.
   EXPECT_EQ(registry.NamesMatching("*"), registry.Names());
+}
+
+// The opt-in eps-auction (approx=0.5) trades exactness for speed; through
+// the registry it must still solve, and land within 5% of the exact
+// Hungarian's total response on a saturated 32-port cell.
+TEST(SolverRegistryTest, ApproxMatchingStaysWithinFivePercentOfExact) {
+  const struct {
+    const char* solver;
+    const char* spec;
+  } cells[] = {
+      {"online.maxweight", "poisson:ports=32,load=1.0,rounds=40,seed=1"},
+      {"coflow.maxweight",
+       "coflow:ports=32,load=1.0,rounds=40,width=6,skew=0.7,seed=1"},
+  };
+  for (const auto& cell : cells) {
+    SCOPED_TRACE(cell.solver);
+    std::string error;
+    const auto instance = LoadInstance(cell.spec, &error);
+    ASSERT_TRUE(instance.has_value()) << error;
+    SolveOptions exact_options;
+    exact_options.params["validate"] = "0";
+    SolveOptions approx_options = exact_options;
+    approx_options.params["approx"] = "0.5";
+    const SolveReport exact =
+        SolverRegistry::Global().Solve(cell.solver, *instance, exact_options);
+    const SolveReport approx =
+        SolverRegistry::Global().Solve(cell.solver, *instance, approx_options);
+    ASSERT_TRUE(exact.ok) << exact.error;
+    ASSERT_TRUE(approx.ok) << approx.error;
+    EXPECT_NEAR(approx.metrics.total_response, exact.metrics.total_response,
+                0.05 * exact.metrics.total_response);
+  }
 }
 
 }  // namespace

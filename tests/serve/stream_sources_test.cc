@@ -182,14 +182,18 @@ TEST(MakeStreamSourceTest, InfiniteRoundsNeedPositiveLoad) {
   EXPECT_NE(MakeStreamSource("poisson:ports=4,load=0.5,rounds=inf", &error),
             nullptr)
       << error;
+  EXPECT_NE(MakeStreamSource("cdf:ports=4,load=0.5,rounds=inf", &error),
+            nullptr)
+      << error;
   EXPECT_EQ(MakeStreamSource("poisson:ports=4,load=0,rounds=inf", &error),
             nullptr);
   EXPECT_NE(error.find("load > 0"), std::string::npos) << error;
 }
 
-// The stream factory reads poisson/coflow specs through the batch
+// The stream factory reads poisson/coflow/cdf specs through the batch
 // loader's value checks, so a spec the batch loader rejects never streams
-// (these three used to run: as a 1-port switch, with no flows, normally).
+// (the first three used to run: as a 1-port switch, with no flows,
+// normally; cdf rounds=-1 used to stream without end, like rounds=inf).
 TEST(MakeStreamSourceTest, RejectsWhatTheBatchLoaderRejects) {
   const struct {
     const char* spec;
@@ -200,6 +204,8 @@ TEST(MakeStreamSourceTest, RejectsWhatTheBatchLoaderRejects) {
       {"coflow:width=4294967297", "width"},
       {"poisson:ports=4,rounds=-1", "rounds"},
       {"coflow:ports=4,skew=2,rounds=inf", "skew"},
+      {"cdf:ports=8,rounds=4294967297", "rounds"},
+      {"cdf:ports=8,rounds=-1", "rounds"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.spec);
