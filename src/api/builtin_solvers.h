@@ -1,12 +1,9 @@
-// Internal: registration hooks for the built-in solver adapters, split by
-// family (api/offline_solvers.cc, api/online_solvers.cc,
-// coflow/coflow_solvers.cc, fabric/fabric_solvers.cc). Use
+// Internal: registration hooks for the built-in solver adapters
+// (api/offline_solvers.cc for art.* / mrt.*, api/policy_solvers.cc for the
+// online.*, coflow.* and fabric.* policy adapters). Use
 // RegisterBuiltinSolvers (api/registry.h) from application code.
 #ifndef FLOWSCHED_API_BUILTIN_SOLVERS_H_
 #define FLOWSCHED_API_BUILTIN_SOLVERS_H_
-
-#include "model/instance.h"
-#include "model/schedule.h"
 
 namespace flowsched {
 
@@ -17,21 +14,10 @@ namespace internal {
 // art.theorem1, art.exact, mrt.theorem3, mrt.exact, mrt.deadline.
 void RegisterOfflineSolvers(SolverRegistry& registry);
 
-// online.<policy> for every AllPolicyNames() entry.
-void RegisterOnlineSolvers(SolverRegistry& registry);
-
-// coflow.<policy> for every AllCoflowPolicyNames() entry.
-void RegisterCoflowSolvers(SolverRegistry& registry);
-
-// fabric.<policy> sharded-fabric adapters (fabric/fabric_solvers.cc):
-// coflow-aware policy names first, then the remaining flow-level ones.
-void RegisterFabricSolvers(SolverRegistry& registry);
-
-// Shared by the online and coflow adapters: the simulator numbers realized
-// flows in arrival order (stable sort of the instance by release); this
-// maps a realized-order schedule back onto the instance's flow ids.
-Schedule MapRealizedSchedule(const Instance& instance,
-                             const Schedule& realized);
+// online.<policy> for every AllPolicyNames() entry, coflow.<policy> for
+// every AllCoflowPolicyNames() entry, and fabric.<policy>: the coflow-aware
+// names first, then the remaining flow-level ones.
+void RegisterPolicySolvers(SolverRegistry& registry);
 
 }  // namespace internal
 }  // namespace flowsched

@@ -102,9 +102,7 @@ SolveReport SolverRegistry::Solve(std::string_view name,
 
 void RegisterBuiltinSolvers(SolverRegistry& registry) {
   internal::RegisterOfflineSolvers(registry);
-  internal::RegisterOnlineSolvers(registry);
-  internal::RegisterCoflowSolvers(registry);
-  internal::RegisterFabricSolvers(registry);
+  internal::RegisterPolicySolvers(registry);
 }
 
 }  // namespace flowsched

@@ -18,19 +18,29 @@ bool Fail(std::string* error, const std::string& msg) {
 
 bool ReadTrafficSpec(SpecReader& r, TrafficConfig* config,
                      std::string* error) {
-  config->num_inputs = config->num_outputs =
-      static_cast<int>(r.GetInt("ports", 16));
+  // The int-valued keys are range-checked before the narrowing cast, so an
+  // out-of-range value fails naming its key instead of wrapping around.
+  constexpr long long kMaxInt = std::numeric_limits<int>::max();
+  constexpr const char* kIntRange = "in [1, 2^31 - 1]";
+  const long long ports = r.GetInt("ports", 16);
+  r.Check(ports >= 1 && ports <= kMaxInt, "ports", kIntRange);
+  const long long min_width = r.GetInt("minwidth", 1);
+  r.Check(min_width >= 1 && min_width <= kMaxInt, "minwidth", kIntRange);
+  const long long max_width = r.GetInt("width", 0);
+  r.Check(max_width == 0 || (max_width >= min_width && max_width <= kMaxInt),
+          "width", "0 (untagged) or in [minwidth, 2^31 - 1]");
+  const long long rounds = r.GetInt("rounds", 10);
+  r.Check(rounds >= 1 && rounds <= kMaxInt, "rounds", kIntRange);
+  // Meaningful only when the checks above passed (r.ok()).
+  config->num_inputs = config->num_outputs = static_cast<int>(ports);
+  config->min_width = static_cast<int>(min_width);
+  config->max_width = static_cast<int>(max_width);
+  config->num_rounds = static_cast<int>(rounds);
   config->port_capacity = r.GetInt("cap", 1);
   config->load = r.Get("load", 0.9);
   config->unit = r.Get("unit", 0.0);
-  config->min_width = static_cast<int>(r.GetInt("minwidth", 1));
-  config->max_width = static_cast<int>(r.GetInt("width", 0));
   config->width_skew = r.Get("skew", 1.0);
   config->seed = static_cast<std::uint64_t>(r.GetInt("seed", 1));
-  const long long rounds = r.GetInt("rounds", 10);
-  r.Check(rounds >= 1 && rounds <= std::numeric_limits<int>::max(), "rounds",
-          "in [1, 2^31 - 1]");
-  config->num_rounds = static_cast<int>(rounds);
 
   const std::string dist = r.GetString("dist", "");
   const std::string file = r.GetString("file", "");
@@ -61,16 +71,13 @@ bool ReadTrafficSpec(SpecReader& r, TrafficConfig* config,
     }
   }
 
-  if (config->num_inputs <= 0 || config->port_capacity < 1 ||
-      config->load < 0.0 || config->unit < 0.0 || config->min_width < 1 ||
-      config->max_width < 0 ||
-      (config->max_width > 0 &&
-       (config->max_width < config->min_width || config->width_skew <= 0.0 ||
-        config->width_skew > 1.0))) {
+  if (config->port_capacity < 1 || config->load < 0.0 ||
+      config->unit < 0.0 ||
+      (max_width > 0 &&
+       (config->width_skew <= 0.0 || config->width_skew > 1.0))) {
     return Fail(error,
-                "spec values out of range (need ports>0, cap>=1, load>=0, "
-                "unit>=0, width=0 for untagged or width>=minwidth>=1 with "
-                "0<skew<=1)");
+                "spec values out of range (need cap>=1, load>=0, unit>=0, "
+                "and 0<skew<=1 when width>0)");
   }
   return true;
 }

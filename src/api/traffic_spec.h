@@ -18,9 +18,9 @@ namespace api_spec {
 // HPCC-format CDF file). The CDF parses even on validation-only passes,
 // so a bad file or name fails before any run.
 // Returns false with *error set on a bad distribution or out-of-range
-// values; key-level errors (unparsable values, unknown keys, `rounds` out
-// of range) accumulate in the reader as usual and remain the caller's to
-// check.
+// values; key-level errors (unparsable values, unknown keys, `ports`,
+// `minwidth`, `width` or `rounds` out of range) accumulate in the reader as
+// usual and remain the caller's to check.
 bool ReadTrafficSpec(SpecReader& r, TrafficConfig* config,
                      std::string* error);
 

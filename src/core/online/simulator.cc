@@ -136,4 +136,18 @@ SimulationResult Simulate(const Instance& instance, SchedulingPolicy& policy,
   return RunToDrain(engine, source, options);
 }
 
+Schedule MapRealizedSchedule(const Instance& instance,
+                             const Schedule& realized) {
+  std::vector<FlowId> order(instance.num_flows());
+  for (FlowId e = 0; e < instance.num_flows(); ++e) order[e] = e;
+  std::stable_sort(order.begin(), order.end(), [&](FlowId a, FlowId b) {
+    return instance.flow(a).release < instance.flow(b).release;
+  });
+  Schedule schedule(instance.num_flows());
+  for (int k = 0; k < instance.num_flows(); ++k) {
+    schedule.Assign(order[k], realized.round_of(k));
+  }
+  return schedule;
+}
+
 }  // namespace flowsched

@@ -73,6 +73,12 @@ SimulationResult Simulate(const SwitchSpec& sw, ArrivalProcess& arrivals,
                           const SimulationOptions& options = {},
                           SimulationContext* context = nullptr);
 
+// Simulate(instance, ...) numbers realized flows in arrival order (a stable
+// sort of the instance by release); this maps its realized-order schedule
+// back onto `instance`'s flow ids.
+Schedule MapRealizedSchedule(const Instance& instance,
+                             const Schedule& realized);
+
 }  // namespace flowsched
 
 #endif  // FLOWSCHED_CORE_ONLINE_SIMULATOR_H_

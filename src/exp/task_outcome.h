@@ -56,14 +56,14 @@ struct TaskOutcome {
   double p95_cct = 0.0;
   double max_cct = 0.0;
   double avg_slowdown = 0.0;
-  // Fabric sharding diagnostics emitted by fabric.* solvers
-  // (fabric/fabric_solvers.cc); shards == 0 for everything else.
+  // Fabric sharding diagnostics emitted by fabric.* solvers (the policy
+  // adapter, api/policy_solvers.cc); shards == 0 for everything else.
   long long shards = 0;
   double load_imbalance = 0.0;
   long long cross_shard_flows = 0;
   long long split_coflows = 0;
   // Robustness diagnostics emitted when the task ran under a scenario
-  // script (api/scenario_support.h); has_scenario == false for fault-free
+  // script (api/policy_diagnostics.h); has_scenario == false for fault-free
   // runs, which carry none of them.
   bool has_scenario = false;
   long long scenario_events = 0;

@@ -5,8 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "api/builtin_solvers.h"
-#include "coflow/coflow_policies.h"
 #include "core/online/simulator.h"
 #include "exp/thread_pool.h"
 #include "util/check.h"
@@ -36,10 +34,7 @@ ShardRun SimulateShard(const Instance& shard_instance, int shard,
   if (shard_instance.num_flows() == 0) return run;
   const std::uint64_t seed = Rng::DeriveSeed(options.seed,
                                              static_cast<std::uint64_t>(shard));
-  std::unique_ptr<SchedulingPolicy> policy =
-      options.coflow_aware
-          ? MakeCoflowPolicy(options.policy, seed, options.matching)
-          : MakePolicy(options.policy, seed, options.matching);
+  const std::unique_ptr<SchedulingPolicy> policy = options.make_policy(seed);
   SimulationOptions sim;
   if (options.max_rounds > 0) sim.max_rounds = options.max_rounds;
   sim.validate = options.validate;
@@ -49,7 +44,7 @@ ShardRun SimulateShard(const Instance& shard_instance, int shard,
   // A truncated scenario run carries no schedule to map (the fabric result
   // is discarded before the merge loop consumes it).
   if (!r.truncated) {
-    run.schedule = internal::MapRealizedSchedule(shard_instance, r.schedule);
+    run.schedule = MapRealizedSchedule(shard_instance, r.schedule);
   }
   run.rounds = r.rounds;
   run.peak_backlog = r.peak_backlog;
@@ -136,6 +131,8 @@ FabricResult RunFabric(const Instance& instance, const FabricAssignment& fa,
                        const FabricRunOptions& options) {
   FS_CHECK_EQ(static_cast<std::size_t>(instance.num_flows()),
               fa.shard_of_flow.size());
+  FS_CHECK_MSG(options.make_policy != nullptr,
+               "FabricRunOptions::make_policy is required");
   const int shards = fa.shards;
   std::vector<ShardRun> runs(shards);
 

@@ -19,6 +19,8 @@
 #define FLOWSCHED_FABRIC_FABRIC_RUNNER_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,12 +33,11 @@ namespace flowsched {
 
 /// Per-run knobs for RunFabric.
 struct FabricRunOptions {
-  /// Policy name: a MakeCoflowPolicy name when coflow_aware, else a
-  /// MakePolicy name (core/online/policy.h).
-  std::string policy = "fifo";
-  /// Selects the policy factory: coflow-aware policies rank the backlog by
-  /// group, flow-level policies per flow.
-  bool coflow_aware = false;
+  /// Builds a fresh policy for one pod from its derived seed, e.g.
+  /// `[](std::uint64_t s) { return MakeCoflowPolicy("sebf", s); }`. Called
+  /// once per non-empty pod, concurrently when jobs > 1. Required.
+  std::function<std::unique_ptr<SchedulingPolicy>(std::uint64_t seed)>
+      make_policy;
   /// Base seed; shard s simulates with Rng::DeriveSeed(seed, s).
   std::uint64_t seed = 1;
   /// Worker threads for shard simulation (clamped to [1, shards]). Results
@@ -48,9 +49,6 @@ struct FabricRunOptions {
   Round max_rounds = 0;
   /// Per-round selection audits (SimulationOptions::validate).
   bool validate = true;
-  /// Matching-kernel knobs for the maxweight policies (warm-start on by
-  /// default — bit-exact; approx_eps > 0 opts into the auction matcher).
-  MatchingOptions matching;
   /// Optional fault-injection script (scenario/scenario.h), expressed in
   /// *global* host / pod coordinates. RunFabric projects each event onto
   /// every shard's local ports (ProjectScenarioOps below) — a host outage

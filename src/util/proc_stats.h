@@ -1,7 +1,6 @@
-// Process memory accounting for the benches and the streaming service:
+// Process memory accounting for the benchmark (perfbench/):
 // peak resident set size (the kernel's high-water mark) read from
-// /proc/self/status, with an opt-in reset so per-cell measurements don't
-// inherit an earlier cell's peak.
+// /proc/self/status.
 #ifndef FLOWSCHED_UTIL_PROC_STATS_H_
 #define FLOWSCHED_UTIL_PROC_STATS_H_
 
@@ -9,12 +8,6 @@ namespace flowsched {
 
 // VmHWM from /proc/self/status in KiB; -1 when unavailable (non-Linux).
 long long PeakRssKb();
-
-// Resets the kernel's peak-RSS watermark to the current RSS by writing "5"
-// to /proc/self/clear_refs (Linux >= 4.0). Returns false when unsupported;
-// callers then get monotone per-process peaks from PeakRssKb() instead of
-// per-interval ones.
-bool ResetPeakRss();
 
 }  // namespace flowsched
 

@@ -180,6 +180,8 @@ TEST(InstanceSourceTest, CdfSpecErrorsNameTheOffender) {
   // Out-of-range values fail like the other generators.
   EXPECT_FALSE(
       LoadInstance("cdf:dist=websearch,ports=0", &error).has_value());
+  EXPECT_NE(error.find("ports must be"), std::string::npos) << error;
+  EXPECT_FALSE(LoadInstance("cdf:ports=8,cap=0", &error).has_value());
   EXPECT_NE(error.find("out of range"), std::string::npos) << error;
   EXPECT_FALSE(
       LoadInstance("cdf:dist=websearch,ports=8,rounds=0", &error)
@@ -327,6 +329,10 @@ TEST(InstanceSourceTest, OutOfRangeGeneratorValuesAreNamedErrors) {
       {"fig4a:phase=6,total=6", "total"},
       {"cdf:rounds=0", "rounds"},
       {"cdf:dist=websearch,ports=8,rounds=4294967297", "rounds"},
+      {"cdf:ports=4294967297,rounds=5", "ports"},
+      {"cdf:ports=8,rounds=5,width=4294967298", "width"},
+      {"cdf:ports=8,rounds=5,minwidth=0,width=4", "minwidth"},
+      {"cdf:ports=8,rounds=5,minwidth=5,width=4", "width"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.spec);
@@ -345,7 +351,8 @@ TEST(InstanceSourceTest, OutOfRangeGeneratorValuesAreNamedErrors) {
         "coflow:ports=4,load=0,rounds=1,minwidth=2,width=2,skew=1",
         "coflow:ports=4,rounds=3,skew=0.01",
         "shuffle:ports=4,wave=4,waves=1,period=1", "incast:ports=4,fanin=4",
-        "fig4a:phase=1,total=2", "cdf:ports=4,rounds=1"}) {
+        "fig4a:phase=1,total=2", "cdf:ports=4,rounds=1",
+        "cdf:ports=4,rounds=2,minwidth=2,width=2,skew=1"}) {
     std::string error;
     EXPECT_TRUE(LoadInstance(spec, &error).has_value()) << spec << ": "
                                                         << error;

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "api/instance_source.h"
+#include "coflow/coflow_policies.h"
 #include "core/online/policy.h"
 
 namespace flowsched {
@@ -234,6 +239,90 @@ TEST(SolverRegistryTest, ApproxMatchingStaysWithinFivePercentOfExact) {
     EXPECT_NEAR(approx.metrics.total_response, exact.metrics.total_response,
                 0.05 * exact.metrics.total_response);
   }
+}
+
+// The registry contract behind docs/solvers.md: whatever a solver emits in
+// its diagnostics, it documents. Each solver runs plain, under a scenario
+// (MIGRATE plus a port outage and recovery) and with the opt-in counters,
+// each variant only where the solver accepts its keys.
+TEST(SolverRegistryTest, EveryEmittedDiagnosticIsDocumented) {
+  Instance instance(SwitchSpec::Uniform(4, 4, 1), {});
+  for (int i = 0; i < 8; ++i) {
+    instance.AddFlow(i % 4, (i * 3 + 1) % 4, 1, i / 3);
+  }
+  const std::vector<std::map<std::string, std::string>> variants = {
+      {},
+      {{"scenario", "inline:MIGRATE 0 1 3 0.5;PORT_DOWN 1 0;PORT_UP 4 0"}},
+      {{"record_backlog", "1"}, {"approx", "0.5"}},
+  };
+  for (const std::string& name : SolverRegistry::Global().Names()) {
+    const auto solver = SolverRegistry::Global().Create(name);
+    ASSERT_NE(solver, nullptr);
+    const std::vector<std::string> accepted = solver->ParamKeys();
+    std::set<std::string> documented;
+    for (const SolverKeyDoc& doc : solver->DiagnosticDocs()) {
+      documented.insert(doc.key);
+    }
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      SCOPED_TRACE(name + " variant " + std::to_string(v));
+      SolveOptions options;
+      for (const auto& [key, value] : variants[v]) {
+        if (std::count(accepted.begin(), accepted.end(), key) > 0) {
+          options.params[key] = value;
+        }
+      }
+      if (v > 0 && options.params.empty()) continue;
+      if (name.rfind("fabric.", 0) == 0) options.params["shards"] = "2";
+      const SolveReport report =
+          SolverRegistry::Global().Solve(name, instance, options);
+      ASSERT_TRUE(report.ok) << report.error;
+      for (const auto& [key, value] : report.diagnostics) {
+        EXPECT_TRUE(documented.count(key) > 0) << "undocumented: " << key;
+      }
+    }
+  }
+}
+
+// Matching-based policies need unit demands. Every policy solver refuses a
+// wide flow with a recoverable error naming the solver exactly when its
+// policy says so, and solves the instance otherwise.
+TEST(SolverRegistryTest, UnitDemandGuardFollowsThePolicy) {
+  Instance instance(SwitchSpec::Uniform(4, 4, 2), {});
+  for (int i = 0; i < 6; ++i) instance.AddFlow(i % 4, (i + 1) % 4, 2, i / 2);
+  const std::vector<std::string> coflow_names = AllCoflowPolicyNames();
+  std::vector<std::string> refused;
+  for (const char* family : {"online.*", "coflow.*", "fabric.*"}) {
+    for (const std::string& name :
+         SolverRegistry::Global().NamesMatching(family)) {
+      SCOPED_TRACE(name);
+      const std::string policy = name.substr(name.find('.') + 1);
+      // fabric.* takes the coflow-aware policy where the names collide.
+      const bool coflow_aware =
+          name.rfind("coflow.", 0) == 0 ||
+          (name.rfind("fabric.", 0) == 0 &&
+           std::count(coflow_names.begin(), coflow_names.end(), policy) > 0);
+      const bool unit = (coflow_aware ? MakeCoflowPolicy(policy)
+                                      : MakePolicy(policy))
+                            ->RequiresUnitDemands();
+      SolveOptions options;
+      if (name.rfind("fabric.", 0) == 0) options.params["shards"] = "2";
+      const SolveReport report =
+          SolverRegistry::Global().Solve(name, instance, options);
+      if (unit) {
+        EXPECT_FALSE(report.ok);
+        EXPECT_EQ(report.error,
+                  name + " is matching-based and requires unit demands");
+        refused.push_back(name);
+      } else {
+        EXPECT_TRUE(report.ok) << report.error;
+      }
+    }
+  }
+  EXPECT_EQ(refused,
+            (std::vector<std::string>{
+                "online.hybrid", "online.maxcard", "online.maxweight",
+                "online.minrtime", "coflow.maxweight", "fabric.hybrid",
+                "fabric.maxcard", "fabric.maxweight", "fabric.minrtime"}));
 }
 
 }  // namespace

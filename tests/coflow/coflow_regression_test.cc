@@ -98,7 +98,7 @@ TEST(CoflowRegressionTest, WarmStartMaxWeightSchedulesAreByteIdentical) {
 
 // The registry path must agree: warmstart=0 as a solver param reproduces
 // the default's golden metrics exactly (same lock, one layer up — covers
-// the param plumbing in coflow_solvers.cc).
+// the param plumbing in api/policy_solvers.cc).
 TEST(CoflowRegressionTest, WarmstartParamDoesNotChangeGoldenMetrics) {
   std::string error;
   const auto instance = LoadInstance(kSpec, &error);

@@ -206,6 +206,9 @@ TEST(MakeStreamSourceTest, RejectsWhatTheBatchLoaderRejects) {
       {"coflow:ports=4,skew=2,rounds=inf", "skew"},
       {"cdf:ports=8,rounds=4294967297", "rounds"},
       {"cdf:ports=8,rounds=-1", "rounds"},
+      {"cdf:ports=4294967297,rounds=5", "ports"},
+      {"cdf:ports=8,rounds=5,width=4294967298", "width"},
+      {"cdf:ports=8,rounds=inf,minwidth=0,width=4", "minwidth"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.spec);

@@ -30,7 +30,9 @@ for build_type in Debug Release; do
       2> "${build_dir}/sweep_err.txt" || rc=$?
   [[ "${rc}" == 2 ]] && grep -q 'load must be' "${build_dir}/sweep_err.txt" \
     || { echo "error: --loads=1,-1 did not fail cleanly" >&2; exit 1; }
-  for probe in 'shuffle:period=0 period' 'incast:ports=4,fanin=9 fanin'; do
+  for probe in 'shuffle:period=0 period' 'incast:ports=4,fanin=9 fanin' \
+      'cdf:ports=4294967297,rounds=5 ports' \
+      'cdf:ports=8,rounds=5,width=4294967298 width'; do
     set -- ${probe}
     rc=0
     "./${build_dir}/tools/flowsched_cli" --instance="$1" \
